@@ -21,9 +21,7 @@ from .terms import (
     bag_diff,
     bag_total,
     bag_union,
-    canonicalize,
     count_atom,
-    equiv,
     replace_at,
     resolve,
 )
@@ -44,12 +42,9 @@ from .pattern import (
 )
 from .matching import (
     Context,
-    Match,
     enumerate_contexts,
     level_matches,
     level_outcomes,
-    match_at,
-    outcomes,
 )
 from .oracle import (
     OracleLimitError,
@@ -91,13 +86,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "Compartment", "Term", "EMPTY", "Scope", "Observable",
-    "atom_bag", "canonicalize", "equiv", "resolve", "replace_at", "count_atom",
+    "atom_bag", "resolve", "replace_at", "count_atom",
     "bag_contains", "bag_count", "bag_diff", "bag_total", "bag_union",
     "Variable", "OpenTerm", "OpenCompartment", "term_var", "wrap_var",
     "open_of_term", "ground_term", "vars_of", "apply_subst",
     "Rule", "validate_rule", "RuleValidationError", "SubstitutionError",
-    "Context", "Match", "enumerate_contexts", "level_matches",
-    "level_outcomes", "match_at", "outcomes",
+    "Context", "enumerate_contexts", "level_matches", "level_outcomes",
     "complete_labeling", "erase", "count_oracle", "oracle_total",
     "distinct_substitutions", "OracleLimitError",
     "MassAction", "FnRate", "rate_of", "RateEvaluationError",

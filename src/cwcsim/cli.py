@@ -286,7 +286,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="cwc-out")
     p.add_argument("--jobs", type=int)
     p.add_argument("--cross-check", action="store_true",
-                   help="verify incremental transition updates every step")
+                   help="verify the cached transition rebuild every step")
     return parser
 
 

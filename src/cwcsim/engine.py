@@ -3,24 +3,25 @@
 Each event consumes exactly two uniform draws, time first, selection
 second.  Transitions are kept separate per (rule, context, outcome) in a
 deterministic pre-order; congruent sibling contexts are represented once
-with their copy count folded into n.  Between events the transition list is
-maintained incrementally (untouched sibling subtrees are reused and
-per-level match results are memoized); a config flag cross-checks every
-incremental update against a full recomputation.
+with their copy count folded into n.  After each event the transition list
+is rebuilt by one walk of the new state in which every level's match
+results come from a cache keyed by the level's content, so only the levels
+the event changed are matched again; a config flag cross-checks every
+rebuilt list against an uncached recomputation.
 """
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from math import fsum, log
 from random import Random
 from typing import Optional
 
 from .errors import CwcError
 from .matching import level_outcomes
-from .rates import MassAction, RateEvaluationError, rate_of
-from .terms import Compartment, Path, Term, count_atom, replace_at, resolve
+from .rates import RateEvaluationError, rate_of
+from .terms import Path, Term, count_atom, replace_at
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ class Trajectory:
 
 
 class SimulationError(CwcError):
-    """A step could not be completed; carries the offending rule and context."""
+    """A step could not be completed; carries the offending rule and context,
+    and, when raised by run, the partial trajectory."""
 
     def __init__(self, message: str, *, rule_id=None, path=None, time=None, code=None):
         super().__init__(message)
@@ -170,16 +172,6 @@ def enumerate_transitions(state: Term, rules) -> list:
     return out
 
 
-def _mult_at(state: Term, path: Path) -> int:
-    mult = 1
-    cur = state
-    for i, _ in path:
-        el, cnt = cur.items[i]
-        mult *= cnt
-        cur = el.content
-    return mult
-
-
 def incremental_retransitions(
     prev: list,
     applied: Transition,
@@ -189,86 +181,15 @@ def incremental_retransitions(
     prev_state: Term,
     cache: Optional[_LevelCache] = None,
 ) -> list:
-    """Rebuild the transition list after one applied transition, recomputing
-    only the levels along the rewritten path and the new content below it;
-    sibling subtrees are reused with their paths and multiplicities remapped.
+    """The transition list after one applied transition: a walk of
+    next_state through the level cache, so that only the levels the event
+    changed are matched again.  prev, applied and prev_state are not read.
 
     Equals enumerate_transitions(next_state, rules) exactly.
     """
-    rules = tuple(rules)
-
-    def reuse_subtree(old_prefix, new_prefix, new_mult) -> list:
-        lp = len(old_prefix)
-        old_mult = _mult_at(prev_state, old_prefix)
-        out = []
-        for t in prev:
-            if len(t.path) >= lp and t.path[:lp] == old_prefix:
-                new_path = new_prefix + t.path[lp:]
-                mult = new_mult * (t.multiplicity // old_mult)
-                if mult == t.multiplicity and new_path == t.path:
-                    out.append(t)
-                    continue
-                n = mult * t.n_local
-                spec = rules[t.rule_index].rate
-                if n == t.n:
-                    rate = t.rate
-                elif isinstance(spec, MassAction):
-                    rate = spec.k * n
-                else:
-                    rate = rate_of(
-                        spec, resolve(next_state, new_path), t.outcome_local, n
-                    )
-                out.append(
-                    _dc_replace(t, path=new_path, multiplicity=mult, n=n, rate=rate)
-                )
-        return out
-
-    def rebuild(old_content, new_content, chain, old_prefix, new_prefix, mult) -> list:
-        out = _local_transitions(new_content, rules, new_prefix, mult, cache)
-        if chain:
-            i_old = chain[0][0]
-            e_old, _ = old_content.items[i_old]
-            e_mod = Compartment(
-                e_old.wrap,
-                replace_at(e_old.content, tuple(chain[1:]), applied.outcome_local),
-            )
-        else:
-            i_old = None
-            e_old = None
-            e_mod = None
-        old_index = {
-            el._key: i for i, el, _ in old_content.compartments()
-        }
-        for i_new, el, cnt in new_content.compartments():
-            i_prev = old_index.get(el._key)
-            if i_prev is not None:
-                out.extend(
-                    reuse_subtree(
-                        old_prefix + ((i_prev, 0),),
-                        new_prefix + ((i_new, 0),),
-                        mult * cnt,
-                    )
-                )
-            elif e_mod is not None and el == e_mod:
-                out.extend(
-                    rebuild(
-                        e_old.content,
-                        el.content,
-                        chain[1:],
-                        old_prefix + ((i_old, 0),),
-                        new_prefix + ((i_new, 0),),
-                        mult * cnt,
-                    )
-                )
-            else:
-                fresh: list = []
-                _walk_transitions(
-                    el.content, rules, new_prefix + ((i_new, 0),), mult * cnt, cache, fresh
-                )
-                out.extend(fresh)
-        return out
-
-    return rebuild(prev_state, next_state, tuple(applied.path), (), (), 1)
+    out: list = []
+    _walk_transitions(next_state, tuple(rules), (), 1, cache, out)
+    return out
 
 
 def step(state: Term, transitions: list, rng: Random):
@@ -319,12 +240,14 @@ def _check_limits(state: Term, cfg: SimConfig, rule_id, path, time):
 
 
 def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
-    """Simulate one trajectory; deterministic given (model, cfg, replicate)."""
+    """Simulate one trajectory; deterministic given (model, cfg, replicate).
+
+    A SimulationError raised on the way carries the partial trajectory, with
+    status "error", as its trajectory attribute.
+    """
     rules = tuple(model.rules)
     observables = tuple(getattr(model, "observables", ()) or ())
     rng = Random(derive_seed(cfg.seed, replicate))
-    state = model.init
-    _check_limits(state, cfg, None, None, 0.0)
 
     if cfg.t_max is not None:
         npoints = int(cfg.t_max / cfg.sample_dt + 1e-9)
@@ -333,18 +256,12 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
         grid = [0.0]
 
     cache = _LevelCache(rules)
-    transitions: list = []
-    _walk_transitions(state, rules, (), 1, cache, transitions)
-    failures = 0
-    if cfg.cross_check:
-        if transitions != enumerate_transitions(state, rules):
-            failures += 1
-            transitions = enumerate_transitions(state, rules)
-
+    state = model.init
     rows: list = []
     gi = 0
     t = 0.0
     events = 0
+    failures = 0
     log_rows: list = [] if cfg.log_events else None
 
     def measure(s: Term) -> tuple:
@@ -356,73 +273,70 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
             rows.append(measure(s))
             gi += 1
 
-    status = None
-    while True:
-        if not transitions:
-            fill(grid[-1], state)
-            status = "deadlock"
-            break
-        dt, chosen, next_state = step(state, transitions, rng)
-        t_new = t + dt
-        horizon = cfg.t_max is not None and t_new > cfg.t_max
-        limit = t_new if not horizon else grid[-1]
-        while gi < len(grid) and grid[gi] < limit:
-            rows.append(measure(state))
-            gi += 1
-        if horizon:
-            fill(grid[-1], state)
-            status = "horizon-reached"
-            break
-        try:
-            _check_limits(next_state, cfg, chosen.rule_id, chosen.path, t_new)
-            new_transitions = incremental_retransitions(
-                transitions,
-                chosen,
-                next_state,
-                rules,
-                prev_state=state,
-                cache=cache,
-            )
-        except SimulationError as e:
-            e.trajectory = Trajectory(
-                times=tuple(grid[: len(rows)]),
-                samples=tuple(rows),
-                observable_names=tuple(o.name for o in observables),
-                status="error",
-                final_state=state,
-                final_time=t,
-                events=events,
-                cross_check_failures=failures,
-                event_log=tuple(log_rows) if log_rows is not None else None,
-            )
-            raise
+    def cross_checked(s: Term, transitions: list) -> list:
+        nonlocal failures
         if cfg.cross_check:
-            full = enumerate_transitions(next_state, rules)
-            if new_transitions != full:
+            full = enumerate_transitions(s, rules)
+            if transitions != full:
                 failures += 1
-                new_transitions = full
-        state = next_state
-        transitions = new_transitions
-        t = t_new
-        events += 1
-        if log_rows is not None:
-            log_rows.append((t, chosen.rule_id, chosen.path))
-        if cfg.max_events is not None and events >= cfg.max_events:
-            fill(t, state)
-            status = "event-cap"
-            break
+                return full
+        return transitions
 
-    return Trajectory(
-        times=tuple(grid[: len(rows)]),
-        samples=tuple(rows),
-        observable_names=tuple(o.name for o in observables),
-        status=status,
-        final_state=state,
-        final_time=t,
-        events=events,
-        cross_check_failures=failures,
-        event_log=tuple(log_rows) if log_rows is not None else None,
-    )
+    def trajectory(status: str) -> Trajectory:
+        return Trajectory(
+            times=tuple(grid[: len(rows)]),
+            samples=tuple(rows),
+            observable_names=tuple(o.name for o in observables),
+            status=status,
+            final_state=state,
+            final_time=t,
+            events=events,
+            cross_check_failures=failures,
+            event_log=tuple(log_rows) if log_rows is not None else None,
+        )
+
+    try:
+        _check_limits(state, cfg, None, None, 0.0)
+        transitions: list = []
+        _walk_transitions(state, rules, (), 1, cache, transitions)
+        transitions = cross_checked(state, transitions)
+        while True:
+            if not transitions:
+                fill(grid[-1], state)
+                return trajectory("deadlock")
+            dt, chosen, next_state = step(state, transitions, rng)
+            t_new = t + dt
+            horizon = cfg.t_max is not None and t_new > cfg.t_max
+            limit = t_new if not horizon else grid[-1]
+            while gi < len(grid) and grid[gi] < limit:
+                rows.append(measure(state))
+                gi += 1
+            if horizon:
+                fill(grid[-1], state)
+                return trajectory("horizon-reached")
+            _check_limits(next_state, cfg, chosen.rule_id, chosen.path, t_new)
+            transitions = cross_checked(
+                next_state,
+                incremental_retransitions(
+                    transitions,
+                    chosen,
+                    next_state,
+                    rules,
+                    prev_state=state,
+                    cache=cache,
+                ),
+            )
+            state = next_state
+            t = t_new
+            events += 1
+            if log_rows is not None:
+                log_rows.append((t, chosen.rule_id, chosen.path))
+            if cfg.max_events is not None and events >= cfg.max_events:
+                fill(t, state)
+                return trajectory("event-cap")
+    except SimulationError as e:
+        e.trajectory = trajectory("error")
+        raise
 
 
 def _run_one(args):

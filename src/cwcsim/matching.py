@@ -14,7 +14,6 @@ indistinguishable even under labeling and contribute a single choice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, perm
 from typing import Iterator, NamedTuple
 
@@ -27,7 +26,6 @@ from .terms import (
     bag_contains,
     bag_count,
     bag_diff,
-    resolve,
 )
 
 
@@ -49,14 +47,6 @@ def _walk_contexts(content: Term, path: Path, mult: int, out: list):
     out.append(Context(path, mult))
     for i, el, n in content.compartments():
         _walk_contexts(el.content, path + ((i, 0),), mult * n, out)
-
-
-@dataclass(frozen=True)
-class Match:
-    rule_id: str
-    path: Path
-    subst: dict
-    outcome_local: Term
 
 
 def level_matches(lp: LevelPattern, content: Term) -> list:
@@ -162,16 +152,6 @@ def _index_of(content: Term, element) -> int:
     return None
 
 
-def match_at(rule: Rule, state: Term, path: Path) -> list:
-    """Qualitative matches of a rule at one context, substitutions distinct
-    up to congruence of the assigned values."""
-    content = resolve(state, path)
-    return [
-        Match(rule.id, path, bindings, apply_subst(rule.rhs, bindings))
-        for bindings, _ in level_matches(rule.lhs, content)
-    ]
-
-
 def level_outcomes(rule: Rule, content: Term) -> list:
     """Distinct local outcomes with their total instantiation counts,
     sorted canonically.  Returns [(outcome, n)]."""
@@ -180,8 +160,3 @@ def level_outcomes(rule: Rule, content: Term) -> list:
         outcome = apply_subst(rule.rhs, bindings)
         grouped[outcome] = grouped.get(outcome, 0) + count
     return sorted(grouped.items(), key=lambda kv: kv[0]._key)
-
-
-def outcomes(rule: Rule, state: Term, path: Path) -> list:
-    """Grouped outcomes of rewriting at one context: [(outcome_local, n)]."""
-    return level_outcomes(rule, resolve(state, path))

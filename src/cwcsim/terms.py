@@ -241,16 +241,6 @@ class Term:
 EMPTY = Term()
 
 
-def canonicalize(elements: Iterable) -> Term:
-    """Build the canonical term for an unordered collection of simple terms."""
-    return Term(elements)
-
-
-def equiv(t: Term, u: Term) -> bool:
-    """Structural congruence; on canonical terms this is just equality."""
-    return t == u
-
-
 # A path addresses a compartment occurrence per level as (element index,
 # copy index).  Congruent copies are indistinguishable, so enumeration
 # normalizes the copy index to 0.

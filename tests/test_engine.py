@@ -253,3 +253,27 @@ def test_incremental_matches_full_on_random_walks(rng):
         except SimulationError as e:
             traj = e.trajectory
         assert traj.cross_check_failures == 0
+
+
+def test_rate_error_after_a_split_carries_rule_and_trajectory():
+    # the event splits the three congruent copies 1 + 2; n = 2 at the two
+    # untouched copies makes the rate divide by zero
+    m = model_of("init (m | a) (m | a) (m | a)\nrule r: a => b @ fn(1 / (n - 2))\n")
+    with pytest.raises(SimulationError) as exc:
+        run(m, SimConfig(max_events=10))
+    e = exc.value
+    assert e.rule_id == "r"
+    assert e.trajectory.status == "error"
+    assert e.trajectory.events == 0 and e.trajectory.final_state == m.init
+
+
+def test_rate_error_in_the_initial_state_carries_trajectory():
+    m = model_of("init (m | a)\nrule r: a => b @ fn(1 / (n - 1))\nobserve as: a in top\n")
+    with pytest.raises(SimulationError) as exc:
+        run(m, SimConfig(t_max=5.0))
+    e = exc.value
+    assert e.rule_id == "r"
+    t = e.trajectory
+    assert t.status == "error" and t.events == 0 and t.final_time == 0.0
+    assert t.final_state == m.init and t.times == () and t.samples == ()
+    assert t.observable_names == ("as",)

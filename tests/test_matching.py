@@ -7,10 +7,9 @@ from cwcsim import (
     apply_subst,
     count_oracle,
     enumerate_contexts,
+    level_matches,
     level_outcomes,
-    match_at,
     oracle_total,
-    outcomes,
     parse_rule,
     parse_term,
     resolve,
@@ -98,18 +97,18 @@ def test_enumerate_contexts_reports_copies_once():
 def test_outcomes_at_inner_context():
     r = parse_rule("d $X -> e $X @ 1")
     state = parse_term("a (b | d d)")
-    assert outcomes(r, state, ((1, 0),)) == [(parse_term("d e"), 2)]
-    assert outcomes(r, state, ()) == []
+    assert level_outcomes(r, resolve(state, ((1, 0),))) == [(parse_term("d e"), 2)]
+    assert level_outcomes(r, resolve(state, ())) == []
 
 
-def test_match_objects_are_consistent():
+def test_level_matches_are_consistent_with_outcomes():
     r = parse_rule("a (b ~x | $X) $Y -> (a b ~x | $X) $Y @ 1")
     state = parse_term("a (b b | c) (b | c)")
-    ms = match_at(r, state, ())
+    ms = level_matches(r.lhs, state)
     assert len(ms) == 2  # distinct substitutions up to congruence of values
-    for m in ms:
-        assert m.rule_id == r.id and m.path == ()
-        assert apply_subst(r.rhs, m.subst) == m.outcome_local
+    rows = level_outcomes(r, state)
+    assert {apply_subst(r.rhs, b) for b, _ in ms} == {o for o, _ in rows}
+    assert sum(c for _, c in ms) == sum(n for _, n in rows)
 
 
 def test_no_match_cases():
