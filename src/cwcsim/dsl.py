@@ -179,9 +179,6 @@ class _Parser:
     def cur(self) -> _Token:
         return self.toks[self.pos]
 
-    def peek(self, ahead: int = 1) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
     def advance(self) -> _Token:
         tok = self.toks[self.pos]
         if tok.kind != "eof":

@@ -23,6 +23,7 @@ from .terms import (
     Compartment,
     Path,
     Term,
+    _canonical,
     bag_contains,
     bag_count,
     bag_diff,
@@ -141,6 +142,9 @@ def level_matches(lp: LevelPattern, content: Term) -> list:
         results.append((out_bindings, total))
 
     place(0, {}, {}, {})
+    # place refers to itself through its closure cell; clearing the cell lets
+    # reference counting, not the cyclic collector, free the closures.
+    place = None
     return results
 
 
@@ -155,8 +159,7 @@ def _index_of(content: Term, element) -> int:
 def level_outcomes(rule: Rule, content: Term) -> list:
     """Distinct local outcomes with their total instantiation counts,
     sorted canonically.  Returns [(outcome, n)]."""
-    grouped: dict = {}
-    for bindings, count in level_matches(rule.lhs, content):
-        outcome = apply_subst(rule.rhs, bindings)
-        grouped[outcome] = grouped.get(outcome, 0) + count
-    return sorted(grouped.items(), key=lambda kv: kv[0]._key)
+    return list(_canonical(
+        (apply_subst(rule.rhs, bindings), count)
+        for bindings, count in level_matches(rule.lhs, content)
+    ))

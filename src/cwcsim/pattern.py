@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CwcError
-from .terms import (
-    Atom,
-    AtomBag,
-    Compartment,
-    Term,
-    atom_bag,
-    bag_union,
-)
+from .terms import Atom, AtomBag, Compartment, Term, _canonical, _checked, atom_bag
 
 TERM = "term"
 WRAP = "wrap"
@@ -70,11 +63,8 @@ class OpenCompartment:
     __slots__ = ("wrap_atoms", "wrap_vars", "content", "_key", "_hash", "is_ground")
 
     def __init__(self, wrap_atoms, wrap_vars, content: "OpenTerm"):
-        self.wrap_atoms = (
-            wrap_atoms if isinstance(wrap_atoms, tuple) and _bag_ok(wrap_atoms)
-            else atom_bag(wrap_atoms)
-        )
-        self.wrap_vars = _var_bag(wrap_vars)
+        self.wrap_atoms = atom_bag(wrap_atoms)
+        self.wrap_vars = _canonical(_checked(wrap_vars, Variable, "wrap variable expected"))
         if not isinstance(content, OpenTerm):
             raise TypeError("open compartment content must be an OpenTerm")
         self.content = content
@@ -99,21 +89,6 @@ class OpenCompartment:
         return f"OpenCompartment({self.wrap_atoms!r}, {self.wrap_vars!r}, {self.content!r})"
 
 
-def _bag_ok(bag):
-    return all(isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], Atom) for p in bag)
-
-
-def _var_bag(items) -> tuple:
-    counts: dict = {}
-    for it in items:
-        v, n = it if isinstance(it, tuple) else (it, 1)
-        if not isinstance(v, Variable):
-            raise TypeError(f"wrap variable expected, got {v!r}")
-        key = (v.kind, v.name)
-        counts[key] = (v, counts[key][1] + n) if key in counts else (v, n)
-    return tuple(counts[k] for k in sorted(counts))
-
-
 SimpleOpen = Union[Atom, Variable, OpenCompartment]
 
 
@@ -123,15 +98,8 @@ class OpenTerm:
     __slots__ = ("items", "_key", "_hash", "is_ground")
 
     def __init__(self, elements: Iterable = ()):
-        counts: dict = {}
-        for it in elements:
-            el, n = it if isinstance(it, tuple) else (it, 1)
-            if not isinstance(el, (Atom, Variable, OpenCompartment)):
-                raise TypeError(f"open term element expected, got {el!r}")
-            if n:
-                key = el._key
-                counts[key] = (el, counts[key][1] + n) if key in counts else (el, n)
-        self.items = tuple(counts[k] for k in sorted(counts))
+        what = "open term element expected"
+        self.items = _canonical(_checked(elements, (Atom, Variable, OpenCompartment), what))
         self._key = tuple((el._key, n) for el, n in self.items)
         self._hash = hash(self._key)
         self.is_ground = all(
@@ -229,18 +197,17 @@ def apply_subst(o: OpenTerm, subst: Mapping) -> Term:
             for sub_el, k in value.items:
                 out.append((sub_el, k * n))
         else:
-            wrap = el.wrap_atoms
+            wrap = list(el.wrap_atoms)
             for v, k in el.wrap_vars:
                 value = _lookup(subst, v)
-                if not (isinstance(value, tuple) and _bag_ok(value)):
+                if not isinstance(value, tuple):
                     raise SubstitutionError(
                         "kind-mismatch", f"variable ~{v.name} needs an atom multiset"
                     )
-                for _ in range(k):
-                    wrap = bag_union(wrap, value)
+                wrap.extend((a, m * k) for a, m in value)
             content = apply_subst(el.content, subst)
             out.append((Compartment(wrap, content), n))
-    return Term(out)
+    return Term._of(_canonical(out))
 
 
 def _lookup(subst: Mapping, v: Variable):

@@ -5,6 +5,10 @@ compartment ``(wrap | content)`` whose wrap is a multiset of atoms and whose
 content is again a term.  Terms are kept in a canonical counted-sorted form
 (atoms before compartments, atoms by name, compartments by wrap then content)
 so that structural congruence coincides with plain equality.
+
+Every multiset here and in ``pattern`` -- terms, wraps, open terms and wrap
+variable bags -- gets that form from one function, ``_canonical``; the
+public constructors check their input once, with ``_checked``, before it.
 """
 from __future__ import annotations
 
@@ -46,21 +50,35 @@ class Atom:
 AtomBag = tuple
 
 
+def _checked(items: Iterable, kinds, what: str) -> list:
+    """(element, count) pairs from elements or pairs, with types and counts
+    checked; the validation shared by every public multiset constructor."""
+    pairs = []
+    for it in items:
+        el, n = it if isinstance(it, tuple) else (it, 1)
+        if not isinstance(el, kinds):
+            raise TypeError(f"{what}, got {el!r}")
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"multiplicity must be a nonnegative int, got {n!r}")
+        pairs.append((el, n))
+    return pairs
+
+
+def _canonical(pairs: Iterable) -> tuple:
+    """The canonical form of a multiset: counts of equal elements merged,
+    zero counts dropped, pairs sorted by ``_key``.  Of equal elements the
+    last is kept, so ``apply_subst`` outcomes share the residue's objects."""
+    merged: dict = {}
+    for el, n in pairs:
+        if n:
+            got = merged.get(el)
+            merged[el] = (el, got[1] + n) if got else (el, n)
+    return tuple(sorted(merged.values(), key=lambda p: p[0]._key))
+
+
 def atom_bag(items: Iterable) -> AtomBag:
     """Build a canonical atom multiset from atoms or (atom, count) pairs."""
-    counts: dict = {}
-    for it in items:
-        if isinstance(it, tuple):
-            a, n = it
-        else:
-            a, n = it, 1
-        if not isinstance(a, Atom):
-            raise TypeError(f"atom bag element must be Atom, got {a!r}")
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"atom multiplicity must be a nonnegative int, got {n!r}")
-        if n:
-            counts[a.name] = (a, counts[a.name][1] + n) if a.name in counts else (a, n)
-    return tuple(counts[name] for name in sorted(counts))
+    return _canonical(_checked(items, Atom, "atom bag element must be Atom"))
 
 
 def bag_count(bag: AtomBag, atom: Atom) -> int:
@@ -91,10 +109,7 @@ def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
 
 
 def bag_union(*bags: AtomBag) -> AtomBag:
-    merged = []
-    for b in bags:
-        merged.extend(b)
-    return atom_bag(merged)
+    return _canonical(p for b in bags for p in b)
 
 
 class Compartment:
@@ -105,8 +120,7 @@ class Compartment:
     def __init__(self, wrap, content: "Term"):
         if not isinstance(content, Term):
             raise TypeError("compartment content must be a Term")
-        bag = wrap if isinstance(wrap, tuple) and _is_bag(wrap) else atom_bag(wrap)
-        self.wrap = bag
+        self.wrap = bag = atom_bag(wrap)
         self.content = content
         self._key = (1, tuple((a.name, n) for a, n in bag), content._key)
         self._hash = hash(self._key)
@@ -126,12 +140,6 @@ class Compartment:
         return f"Compartment({self.wrap!r}, {self.content!r})"
 
 
-def _is_bag(wrap: tuple) -> bool:
-    return all(
-        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], Atom) for p in wrap
-    )
-
-
 SimpleTerm = Union[Atom, Compartment]
 
 
@@ -146,29 +154,32 @@ class Term:
     __slots__ = ("items", "_key", "_hash", "size", "depth", "has_atoms")
 
     def __init__(self, elements: Iterable = ()):
-        counts: dict = {}
-        for it in elements:
-            if isinstance(it, tuple):
-                el, n = it
-            else:
-                el, n = it, 1
-            if not isinstance(el, (Atom, Compartment)):
-                raise TypeError(f"term element must be Atom or Compartment, got {el!r}")
-            if not isinstance(n, int) or n < 0:
-                raise ValueError(f"multiplicity must be a nonnegative int, got {n!r}")
-            if n:
-                key = el._key
-                if key in counts:
-                    counts[key] = (el, counts[key][1] + n)
-                else:
-                    counts[key] = (el, n)
-        items = tuple(counts[k] for k in sorted(counts))
+        what = "term element must be Atom or Compartment"
+        self._fill(_canonical(_checked(elements, (Atom, Compartment), what)))
+
+    @classmethod
+    def _of(cls, items: tuple) -> "Term":
+        """A term from items already in canonical form; nothing is checked
+        or sorted again."""
+        t = object.__new__(cls)
+        t._fill(items)
+        return t
+
+    def _fill(self, items: tuple):
         self.items = items
-        self._key = tuple((el._key, n) for el, n in items)
+        self._key = tuple([(el._key, n) for el, n in items])
         self._hash = hash(self._key)
-        self.size = sum(n * el.size for el, n in items) if items else 0
-        self.depth = max((el.depth for el, n in items), default=0)
-        self.has_atoms = any(el.has_atoms for el, _ in items)
+        size = depth = 0
+        has_atoms = False
+        for el, n in items:
+            size += n * el.size
+            if el.depth > depth:
+                depth = el.depth
+            if el.has_atoms:
+                has_atoms = True
+        self.size = size
+        self.depth = depth
+        self.has_atoms = has_atoms
 
     # Atoms have size 1 and depth 0; Compartment sets its own.
     def __eq__(self, other):
@@ -216,10 +227,7 @@ class Term:
                 yield el
 
     def union(self, other: "Term") -> "Term":
-        return Term(self.items + other.items)
-
-    def add(self, element: SimpleTerm, count: int = 1) -> "Term":
-        return Term(self.items + ((element, count),))
+        return Term._of(_canonical(self.items + other.items))
 
     def subtract(self, pairs: Iterable) -> "Term":
         """Remove a (element, count) multiset; raises if not contained."""
@@ -235,7 +243,7 @@ class Term:
                 out.append((el, k))
         if need:
             raise ValueError("subtract: element not present in term")
-        return Term(out)
+        return Term._of(tuple(out))
 
 
 EMPTY = Term()
@@ -247,27 +255,9 @@ EMPTY = Term()
 Path = tuple
 
 
-def resolve(t: Term, path: Path) -> Term:
-    """Return the content term addressed by path ((), the empty path, is t)."""
-    cur = t
-    for step in path:
-        i, c = step
-        if not 0 <= i < len(cur.items):
-            raise InvalidPathError(f"element index {i} out of range")
-        el, n = cur.items[i]
-        if type(el) is not Compartment:
-            raise InvalidPathError(f"element {i} is an atom, not a compartment")
-        if not 0 <= c < n:
-            raise InvalidPathError(f"copy index {c} out of range for count {n}")
-        cur = el.content
-    return cur
-
-
-def replace_at(t: Term, path: Path, new_content: Term) -> Term:
-    """Replace the content addressed by path in exactly one compartment copy."""
-    if not path:
-        return new_content
-    i, c = path[0]
+def _step(t: Term, step) -> tuple:
+    """The (compartment, count) pair one path step addresses in t."""
+    i, c = step
     if not 0 <= i < len(t.items):
         raise InvalidPathError(f"element index {i} out of range")
     el, n = t.items[i]
@@ -275,10 +265,26 @@ def replace_at(t: Term, path: Path, new_content: Term) -> Term:
         raise InvalidPathError(f"element {i} is an atom, not a compartment")
     if not 0 <= c < n:
         raise InvalidPathError(f"copy index {c} out of range for count {n}")
+    return el, n
+
+
+def resolve(t: Term, path: Path) -> Term:
+    """Return the content term addressed by path ((), the empty path, is t)."""
+    for step in path:
+        t = _step(t, step)[0].content
+    return t
+
+
+def replace_at(t: Term, path: Path, new_content: Term) -> Term:
+    """Replace the content addressed by path in exactly one compartment copy."""
+    if not path:
+        return new_content
+    el, n = _step(t, path[0])
     rebuilt = Compartment(el.wrap, replace_at(el.content, path[1:], new_content))
     rest = list(t.items)
-    rest[i] = (el, n - 1)
-    return Term(rest).add(rebuilt)
+    rest[path[0][0]] = (el, n - 1)
+    rest.append((rebuilt, 1))
+    return Term._of(_canonical(rest))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 """Combinatorial match counting against hand results and the oracle."""
+import gc
+
 import pytest
 
 from cwcsim import (
@@ -28,6 +30,19 @@ def test_flat_counting_example():
     r = parse_rule("a a $X -> a c $X @ 1")
     assert level_outcomes(r, parse_term("a a a b")) == [(parse_term("a a b c"), 3)]
     assert level_outcomes(r, parse_term("a b")) == []
+
+
+def test_level_matches_leaves_no_reference_cycle():
+    r = parse_rule("a (b ~x | $Y) $Z -> (b ~x | a $Y) $Z @ 1")
+    state = parse_term("a (b b | c) (b | c)")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert len(level_matches(r.lhs, state)) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_membrane_counting_example():

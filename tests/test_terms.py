@@ -7,8 +7,11 @@ from cwcsim import (
     Atom,
     Compartment,
     InvalidPathError,
+    OpenCompartment,
+    OpenTerm,
     Scope,
     Term,
+    apply_subst,
     atom_bag,
     bag_contains,
     bag_count,
@@ -16,10 +19,13 @@ from cwcsim import (
     bag_total,
     bag_union,
     count_atom,
+    open_of_term,
     parse_term,
     format_term,
     replace_at,
     resolve,
+    term_var,
+    wrap_var,
 )
 
 atoms = st.sampled_from("a b c d".split()).map(Atom)
@@ -132,13 +138,55 @@ def test_multiset_arithmetic():
     assert t.count(Atom("a")) == 2 and t.count(comp) == 1
     assert t.count_atom_top(Atom("c")) == 0
     assert t.union(parse_term("a")) == parse_term("a a a b (m | c)")
-    assert t.add(comp, 2).count(comp) == 3
+    assert t.union(Term([(comp, 2)])).count(comp) == 3
     assert t.subtract([(Atom("a"), 1), (comp, 1)]) == parse_term("a b")
     with pytest.raises(ValueError):
         t.subtract([(Atom("a"), 3)])
     with pytest.raises(ValueError):
         t.subtract([(Atom("z"), 1)])
     assert sorted(a.name for a in parse_term("a a b").occurrences()) == ["a", "a", "b"]
+
+
+def _same(got: Term, want: Term):
+    assert got == want and got.items == want.items
+    assert (got.size, got.depth, got.has_atoms) == (want.size, want.depth, want.has_atoms)
+    assert hash(got) == hash(want)
+
+
+def _replace_by_elements(t: Term, path, new_content: Term) -> Term:
+    if not path:
+        return new_content
+    i, _ = path[0]
+    el, n = t.items[i]
+    rebuilt = Compartment(el.wrap, _replace_by_elements(el.content, path[1:], new_content))
+    return Term([p if j != i else (el, n - 1) for j, p in enumerate(t.items)] + [rebuilt])
+
+
+@settings(deadline=None)
+@given(terms, terms, terms, bags, bags, st.data())
+def test_trusted_constructions_equal_validated_ones(t, u, c, wrap, x_val, data):
+    taken = [(el, data.draw(st.integers(0, n))) for el, n in t.items]
+    _same(t.subtract(taken), Term([(el, n - k) for (el, n), (_, k) in zip(t.items, taken)]))
+    _same(t.union(u), Term(list(t.occurrences()) + list(u.occurrences())))
+    for path in all_paths(t):
+        _same(replace_at(t, path, c), _replace_by_elements(t, path, c))
+    X, x = term_var("X"), wrap_var("x")
+    rhs = OpenTerm([(X, 2), OpenCompartment(wrap, [x], open_of_term(u))]).union(open_of_term(c))
+    want = Term(list(t.items) * 2 + [Compartment(wrap + x_val, u)] + list(c.items))
+    _same(apply_subst(rhs, {X: t, x: x_val}), want)
+
+
+def test_wrap_pairs_are_canonical():
+    a, b = Atom("a"), Atom("b")
+    for make in (lambda w: Compartment(w, EMPTY),
+                 lambda w: OpenCompartment(w, (), OpenTerm())):
+        assert make(((b, 1), (a, 1))) == make(atom_bag([a, b]))
+        assert make(((a, 1), (a, 1))) == make(atom_bag([(a, 2)]))
+        assert make(((a, 0), (b, 1))) == make(atom_bag([b]))
+        with pytest.raises(ValueError):
+            make(((a, -2),))
+    assert Compartment(((b, 1), (a, 1)), EMPTY).wrap == ((a, 1), (b, 1))
+    assert Compartment(((a, 1), (a, 1)), EMPTY).size == 3
 
 
 def test_atom_validation():
