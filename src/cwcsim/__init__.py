@@ -61,6 +61,7 @@ from .engine import (
     SimulationError,
     Trajectory,
     Transition,
+    TransitionStore,
     derive_seed,
     enumerate_transitions,
     incremental_retransitions,
@@ -95,7 +96,8 @@ __all__ = [
     "complete_labeling", "erase", "count_oracle", "oracle_total",
     "distinct_substitutions", "OracleLimitError",
     "MassAction", "FnRate", "rate_of", "RateEvaluationError",
-    "Model", "SimConfig", "Trajectory", "Transition", "SimulationError",
+    "Model", "SimConfig", "Trajectory", "Transition", "TransitionStore",
+    "SimulationError",
     "enumerate_transitions", "incremental_retransitions", "step", "run",
     "run_replicates", "derive_seed",
     "parse_model", "parse_term", "parse_rule", "format_term",

@@ -286,7 +286,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="cwc-out")
     p.add_argument("--jobs", type=int)
     p.add_argument("--cross-check", action="store_true",
-                   help="verify the cached transition rebuild every step")
+                   help="check every step's cached propensity tree "
+                   "against an uncached recomputation")
     return parser
 
 

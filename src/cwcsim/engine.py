@@ -3,18 +3,20 @@
 Each event consumes exactly two uniform draws, time first, selection
 second.  Transitions are kept separate per (rule, context, outcome) in a
 deterministic pre-order; congruent sibling contexts are represented once
-with their copy count folded into n.  After each event the transition list
-is rebuilt by one walk of the new state in which every level's match
-results come from a cache keyed by the level's content, so only the levels
-the event changed are matched again; a config flag cross-checks every
-rebuilt list against an uncached recomputation.
+with their copy count folded into n, and a context's rate is its copy
+count times the rate law evaluated on one copy.  The enabled transitions
+form a tree of level nodes cached by level content, each holding its rated
+local transitions and its subtree total, so after an event only the nodes
+on the rewritten path are built and nothing else is re-rated; selection
+descends the tree by the totals.  A config flag cross-checks every store
+against an uncached recomputation.
 """
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import fsum, log
+from math import fsum, inf, isclose, log
 from random import Random
 from typing import Optional
 
@@ -28,9 +30,9 @@ from .terms import Path, Term, count_atom, replace_at
 class Transition:
     """One enabled rewrite: a rule applied at a context with one outcome.
 
-    n already contains the context multiplicity (n = multiplicity *
-    n_local); applying the transition yields
-    replace_at(state, path, outcome_local).
+    n and rate already contain the context multiplicity (n = multiplicity
+    * n_local, rate = multiplicity * the rate law at n_local); applying the
+    transition yields replace_at(state, path, outcome_local).
     """
 
     rule_id: str
@@ -106,108 +108,136 @@ class SimulationError(CwcError):
         self.code = code
 
 
-class _LevelCache:
-    """Memoized per-level match results, keyed by content term."""
+class _Node:
+    """The rated transitions of one level content and all inside it, a pure
+    function of the content: local holds (rule_index, outcome, n_local,
+    rate_local > 0), children (element_index, copies, node) for each enabled
+    subtree, total the summed rate of one copy and count its transitions."""
 
-    def __init__(self, rules):
+    __slots__ = ("local", "children", "total", "count")
+
+    def __init__(self, local: tuple, children: tuple):
+        self.local = local
+        self.children = children
+        self.total = fsum([e[3] for e in local] + [c * ch.total for _, c, ch in children])
+        self.count = len(local) + sum(ch.count for _, _, ch in children)
+
+
+def _node(content: Term, rules: tuple, cache: dict, path: Path) -> _Node:
+    """The node of content, built on a cache miss; path is where the content
+    was met, for error messages only."""
+    node = cache.get(content)
+    if node is None:
+        local = []
+        for i, rule in enumerate(rules):
+            for outcome, n_local in level_outcomes(rule, content):
+                try:
+                    rate = rate_of(rule.rate, content, outcome, n_local)
+                except RateEvaluationError as e:
+                    raise SimulationError(
+                        f"rule {rule.id} at {path}: {e}",
+                        rule_id=rule.id,
+                        path=path,
+                        code=e.code,
+                    ) from e
+                if rate > 0:
+                    local.append((i, outcome, n_local, rate))
+        children = []
+        for i, el, copies in content.compartments():
+            child = _node(el.content, rules, cache, path + ((i, 0),))
+            if child.count:
+                children.append((i, copies, child))
+        node = cache[content] = _Node(tuple(local), tuple(children))
+    return node
+
+
+class TransitionStore:
+    """The enabled transitions of one state as a tree of level nodes; cache
+    maps level contents to nodes and may serve every store of one rules
+    tuple.  len() counts the transitions and total sums their rates.
+    Iteration yields them in canonical pre-order from a list built once and
+    kept, so one store always yields the same objects."""
+
+    __slots__ = ("rules", "root", "total", "_list")
+
+    def __init__(self, state: Term, rules, cache: Optional[dict] = None):
         self.rules = tuple(rules)
-        self.data: dict = {}
+        self.root = _node(state, self.rules, {} if cache is None else cache, ())
+        self.total = self.root.total
+        self._list = None
 
-    def entries(self, content: Term) -> tuple:
-        got = self.data.get(content)
-        if got is None:
-            got = _level_entries(content, self.rules)
-            self.data[content] = got
-        return got
+    def __len__(self) -> int:
+        return self.root.count
 
+    def __iter__(self):
+        if self._list is None:
+            self._list = []
+            self._flatten(self.root, (), 1)
+        return iter(self._list)
 
-def _level_entries(content: Term, rules) -> tuple:
-    return tuple(
-        (i, outcome, n_local)
-        for i, rule in enumerate(rules)
-        for outcome, n_local in level_outcomes(rule, content)
-    )
+    def _flatten(self, node: _Node, path: Path, mult: int):
+        self._list.extend(self._transition(e, path, mult) for e in node.local)
+        for i, copies, child in node.children:
+            self._flatten(child, path + ((i, 0),), mult * copies)
 
+    def _transition(self, entry: tuple, path: Path, mult: int) -> Transition:
+        i, outcome, n_local, rate = entry
+        rule_id = self.rules[i].id
+        return Transition(rule_id, path, outcome, mult * n_local, mult * rate, i, n_local, mult)
 
-def _local_transitions(content, rules, path, mult, cache) -> list:
-    entries = cache.entries(content) if cache is not None else _level_entries(content, rules)
-    out = []
-    for i, outcome, n_local in entries:
-        n = mult * n_local
-        try:
-            rate = rate_of(rules[i].rate, content, outcome, n)
-        except RateEvaluationError as e:
-            raise SimulationError(
-                f"rule {rules[i].id} at {path}: {e}",
-                rule_id=rules[i].id,
-                path=path,
-                code=e.code,
-            ) from e
-        if rate > 0:
-            out.append(
-                Transition(
-                    rule_id=rules[i].id,
-                    path=path,
-                    outcome_local=outcome,
-                    n=n,
-                    rate=rate,
-                    rule_index=i,
-                    n_local=n_local,
-                    multiplicity=mult,
-                )
-            )
-    return out
-
-
-def _walk_transitions(content, rules, path, mult, cache, out):
-    out.extend(_local_transitions(content, rules, path, mult, cache))
-    for i, el, cnt in content.compartments():
-        _walk_transitions(el.content, rules, path + ((i, 0),), mult * cnt, cache, out)
+    def select(self, target: float) -> Transition:
+        """The first transition in pre-order whose cumulative rate exceeds
+        target, found by descending the subtree totals; a target at or past
+        total (from rounding) selects the last transition."""
+        node, path, mult = self.root, (), 1
+        while True:
+            for entry in node.local:
+                w = mult * entry[3]
+                if target < w:
+                    return self._transition(entry, path, mult)
+                target -= w
+            for i, copies, child in node.children:
+                w = mult * copies * child.total
+                if target < w:
+                    break
+                target -= w
+            else:
+                if not node.children:
+                    return self._transition(node.local[-1], path, mult)
+                target = inf  # past the end: keep to the last subtree
+            node, path, mult = child, path + ((i, 0),), mult * copies
 
 
 def enumerate_transitions(state: Term, rules) -> list:
-    """Full recomputation: every enabled transition in canonical pre-order."""
-    out: list = []
-    _walk_transitions(state, tuple(rules), (), 1, None, out)
-    return out
+    """Full recomputation with a fresh cache: every enabled transition in
+    canonical pre-order."""
+    return list(TransitionStore(state, rules))
 
 
 def incremental_retransitions(
-    prev: list,
+    prev: TransitionStore,
     applied: Transition,
     next_state: Term,
     rules,
     *,
     prev_state: Term,
-    cache: Optional[_LevelCache] = None,
-) -> list:
-    """The transition list after one applied transition: a walk of
-    next_state through the level cache, so that only the levels the event
-    changed are matched again.  prev, applied and prev_state are not read.
-
-    Equals enumerate_transitions(next_state, rules) exactly.
-    """
-    out: list = []
-    _walk_transitions(next_state, tuple(rules), (), 1, cache, out)
-    return out
+    cache: Optional[dict] = None,
+) -> TransitionStore:
+    """The store after one applied transition: every subtree the event left
+    unchanged is a cache hit, so only the nodes on the rewritten path are
+    built.  prev, applied and prev_state are not read."""
+    return TransitionStore(next_state, rules, cache)
 
 
-def step(state: Term, transitions: list, rng: Random):
+def step(state: Term, transitions: TransitionStore, rng: Random):
     """One direct-method event: returns (dt, transition, next_state), or
     None when no transition is enabled (deadlock)."""
     if not transitions:
         return None
-    total = fsum(t.rate for t in transitions)
+    total = transitions.total
     u1 = 1.0 - rng.random()  # in (0, 1]
     dt = -log(u1) / total
-    target = rng.random() * total
-    acc = 0.0
-    chosen = transitions[-1]
-    for t in transitions:
-        acc += t.rate
-        if target < acc:
-            chosen = t
-            break
+    chosen = transitions.select(rng.random() * total)
     next_state = replace_at(state, chosen.path, chosen.outcome_local)
     return dt, chosen, next_state
 
@@ -255,7 +285,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     else:
         grid = [0.0]
 
-    cache = _LevelCache(rules)
+    cache: dict = {}
     state = model.init
     rows: list = []
     gi = 0
@@ -273,13 +303,15 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
             rows.append(measure(s))
             gi += 1
 
-    def cross_checked(s: Term, transitions: list) -> list:
+    def cross_checked(s: Term, transitions: TransitionStore) -> TransitionStore:
         nonlocal failures
         if cfg.cross_check:
             full = enumerate_transitions(s, rules)
-            if transitions != full:
+            if list(transitions) != full or not isclose(
+                transitions.total, fsum(t.rate for t in full)
+            ):
                 failures += 1
-                return full
+                return TransitionStore(s, rules)
         return transitions
 
     def trajectory(status: str) -> Trajectory:
@@ -297,9 +329,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
 
     try:
         _check_limits(state, cfg, None, None, 0.0)
-        transitions: list = []
-        _walk_transitions(state, rules, (), 1, cache, transitions)
-        transitions = cross_checked(state, transitions)
+        transitions = cross_checked(state, TransitionStore(state, rules, cache))
         while True:
             if not transitions:
                 fill(grid[-1], state)

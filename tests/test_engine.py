@@ -8,6 +8,7 @@ from cwcsim import (
     Model,
     SimConfig,
     SimulationError,
+    TransitionStore,
     derive_seed,
     enumerate_transitions,
     incremental_retransitions,
@@ -45,7 +46,7 @@ TWO_CHOICES = model_of(
 
 def test_step_draws_time_then_selection():
     state = parse_term("a")
-    ts = enumerate_transitions(state, TWO_CHOICES.rules)
+    ts = TransitionStore(state, TWO_CHOICES.rules)
     assert [t.rule_id for t in ts] == ["fast", "slow"]
     assert [t.rate for t in ts] == [2.0, 1.0]
 
@@ -65,14 +66,15 @@ def test_step_draws_time_then_selection():
 
 
 def test_step_deadlock_is_none():
-    assert step(parse_term("a"), [], Scripted([])) is None
+    state = parse_term("a")
+    assert step(state, TransitionStore(state, ()), Scripted([])) is None
 
 
 def test_step_applies_at_path():
     m = model_of("init b (m | a)\nrule r: a => a a @ 1\n")
     state = m.init
-    ts = enumerate_transitions(state, m.rules)
-    assert len(ts) == 1 and ts[0].path == ((1, 0),)
+    ts = TransitionStore(state, m.rules)
+    assert len(ts) == 1 and list(ts)[0].path == ((1, 0),)
     _, chosen, nxt = step(state, ts, Scripted([0.5, 0.5]))
     assert nxt == parse_term("b (m | a a)")
 
@@ -220,18 +222,19 @@ def test_event_log_records_rule_and_path():
 def test_incremental_update_splits_congruent_copies():
     m = model_of("init c (m | a b) (m | a b)\nrule ra: a => a a @ 1\nrule rc: c => c @ 1\n")
     state = m.init
-    ts = enumerate_transitions(state, m.rules)
+    cache: dict = {}
+    ts = TransitionStore(state, m.rules, cache)
     applied = next(t for t in ts if t.rule_id == "ra")
     assert applied.multiplicity == 2
     nxt = replace_at(state, applied.path, applied.outcome_local)
-    got = incremental_retransitions(ts, applied, nxt, m.rules, prev_state=state)
-    assert got == enumerate_transitions(nxt, m.rules)
+    got = incremental_retransitions(ts, applied, nxt, m.rules, prev_state=state, cache=cache)
+    assert list(got) == enumerate_transitions(nxt, m.rules)
     # go one level further: the copies are distinct now
     ts2 = got
     applied2 = next(t for t in ts2 if t.rule_id == "ra" and t.multiplicity == 1)
     nxt2 = replace_at(nxt, applied2.path, applied2.outcome_local)
-    got2 = incremental_retransitions(ts2, applied2, nxt2, m.rules, prev_state=nxt)
-    assert got2 == enumerate_transitions(nxt2, m.rules)
+    got2 = incremental_retransitions(ts2, applied2, nxt2, m.rules, prev_state=nxt, cache=cache)
+    assert list(got2) == enumerate_transitions(nxt2, m.rules)
 
 
 def test_incremental_matches_full_on_random_walks(rng):
@@ -256,9 +259,13 @@ def test_incremental_matches_full_on_random_walks(rng):
 
 
 def test_rate_error_after_a_split_carries_rule_and_trajectory():
-    # the event splits the three congruent copies 1 + 2; n = 2 at the two
-    # untouched copies makes the rate divide by zero
-    m = model_of("init (m | a) (m | a) (m | a)\nrule r: a => b @ fn(1 / (n - 2))\n")
+    # the first event splits the three congruent copies 1 + 2 and creates
+    # the content b, where count_l(a) = 0 makes the rate divide by zero
+    m = model_of(
+        "init (m | a) (m | a) (m | a)\n"
+        "rule s: a => b @ 1\n"
+        "rule r: b => c @ fn(1 / count_l(a))\n"
+    )
     with pytest.raises(SimulationError) as exc:
         run(m, SimConfig(max_events=10))
     e = exc.value
@@ -277,3 +284,51 @@ def test_rate_error_in_the_initial_state_carries_trajectory():
     assert t.status == "error" and t.events == 0 and t.final_time == 0.0
     assert t.final_state == m.init and t.times == () and t.samples == ()
     assert t.observable_names == ("as",)
+
+
+@pytest.mark.parametrize("law", ["1", "fn(n * n)", "fn(1)", "fn(count_l(a))"])
+def test_folded_copies_rate_like_distinct_ones(law):
+    # a context's propensity is its copy count times the law on one copy
+    rules = model_of(f"init *\nrule r: a $X -> b $X @ {law}\n").rules
+    folded = enumerate_transitions(parse_term("(m | a) (m | a)"), rules)
+    marked = enumerate_transitions(parse_term("(m | a) (m x | a)"), rules)
+    assert math.fsum(t.rate for t in folded) == math.fsum(t.rate for t in marked) == 2.0
+
+
+NESTED = model_of(
+    "init a a (m | b b (n | c) (n | c)) (m | b b (n | c) (n | c)) (k | c (n | c c))\n"
+    "rule ra: a => a @ 1\n"
+    "rule rb: b => b @ fn(2 * count_l(b))\n"
+    "rule rc: c => c @ 3\n"
+    "rule rcc: c c => c @ 1\n"
+)
+
+
+def test_descent_selects_like_a_flat_scan():
+    store = TransitionStore(NESTED.init, NESTED.rules)
+    flat = list(store)
+    assert len(store) == len(flat) and max(t.multiplicity for t in flat) == 4
+    assert max(len(t.path) for t in flat) == 2  # three nesting levels
+    assert math.isclose(store.total, math.fsum(t.rate for t in store))
+
+    def scan(target):
+        acc = 0.0
+        for t in flat:
+            acc += t.rate
+            if target < acc:
+                return t
+        return flat[-1]
+
+    bounds = [0.0]
+    for t in flat:
+        bounds.append(bounds[-1] + t.rate)
+    assert bounds[-1] == store.total  # integer rates: every sum is exact
+    targets = {b + d for b in bounds for d in (-0.5, 0.0, 0.5) if b + d >= 0}
+    for target in sorted(targets):
+        assert store.select(target) == scan(target), target
+
+
+def test_store_iteration_yields_the_same_objects():
+    store = TransitionStore(NESTED.init, NESTED.rules)
+    for k in range(len(store)):
+        assert list(store)[k] is list(store)[k]
