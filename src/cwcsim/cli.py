@@ -8,7 +8,8 @@
                [--out-dir DIR] [--jobs N] [--cross-check]
 
 Exit codes: 0 success, 1 model or validation failure (including an oracle
-mismatch), 2 I/O problem, 3 runtime simulation error.
+mismatch or a cross-check disagreement), 2 I/O or usage problem, 3 runtime
+simulation error.
 
 Run settings come, in order of precedence, from command-line flags, model
 file directives, the CWC_SEED environment variable (seed only), and the
@@ -33,10 +34,10 @@ from .engine import (
     enumerate_transitions,
     run_replicates,
 )
-from .matching import enumerate_contexts, level_outcomes
+from .matching import level_outcomes
 from .oracle import OracleLimitError, count_oracle, oracle_total
 from .rates import RateEvaluationError
-from .terms import Atom, Term, resolve
+from .terms import Atom, Term
 
 
 class _Exit(Exception):
@@ -92,6 +93,13 @@ def cmd_transitions(args) -> int:
     return 0
 
 
+def _levels(content: Term, path):
+    """(path, content) of every level, congruent copies once, in pre-order."""
+    yield path, content
+    for i, el, _ in content.compartments():
+        yield from _levels(el.content, path + ((i, 0),))
+
+
 def cmd_count(args) -> int:
     model = _load_model(args.model)
     rule = next((r for r in model.rules if r.id == args.rule), None)
@@ -99,14 +107,13 @@ def cmd_count(args) -> int:
         print(f"error: unknown rule '{args.rule}'", file=sys.stderr)
         return 1
     mismatches = 0
-    for ctx in enumerate_contexts(model.init):
-        content = resolve(model.init, ctx.path)
+    for path, content in _levels(model.init, ()):
         rows = level_outcomes(rule, content)
         total = 0
         for outcome, n in rows:
             total += n
             line = (
-                f"path={format_path(ctx.path)} n={n} "
+                f"path={format_path(path)} n={n} "
                 f"outcome={format_term(outcome)}"
             )
             if args.oracle:
@@ -119,7 +126,7 @@ def cmd_count(args) -> int:
             expected = oracle_total(rule, content)
             ok = expected == total
             print(
-                f"path={format_path(ctx.path)} total={total} "
+                f"path={format_path(path)} total={total} "
                 f"oracle={expected} {'OK' if ok else 'MISMATCH'}"
             )
             mismatches += 0 if ok else 1
@@ -222,6 +229,8 @@ def cmd_run(args, parser) -> int:
         init=init, rules=model_file.rules, observables=model_file.observables
     )
 
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     started = time.perf_counter()
     try:
@@ -250,8 +259,14 @@ def cmd_run(args, parser) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    disagreed = False
+    for i, tr in enumerate(trajectories):
+        if tr.cross_check_failures:
+            disagreed = True
+            print(f"cross-check: {tr.cross_check_failures} disagreements "
+                  f"in replicate {i}", file=sys.stderr)
     print(f"wall time: {wall:.3f} s")
-    return 0
+    return 1 if disagreed else 0
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -287,7 +302,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int)
     p.add_argument("--cross-check", action="store_true",
                    help="check every step's cached propensity tree "
-                   "against an uncached recomputation")
+                   "against an uncached recomputation; disagreements are "
+                   "reported on stderr and exit with status 1")
     return parser
 
 

@@ -12,14 +12,16 @@ line comment:
 
 Terms are multisets written by juxtaposition: atoms are identifiers,
 compartments are `(wrap | content)`, and `*` alone is the empty term.
-`$X` is a term variable, `~x` a wrap variable.  Within `init` (only),
-`atom * n` repeats an atom.  Rule bodies use `->` (the left side must
-already be a complete pattern) or `=>` (a fresh residue term variable is
-appended to the top level of both sides); the `wrap` marker turns an
-atom-only rule `a b => c` into `(a b ~w | $Y) $Z -> (c ~w | $Y) $Z`,
-with either arrow accepted.  Rates are `@ k` (mass action) or
-`@ fn(expr)` with `n`, `count_l(atom)`, `count_r(atom)`, numbers and
-`+ - * /`.
+`$X` is a term variable, `~x` a wrap variable.  One grammar reads the
+terms of `init` and of rules, and one printer, `format_term`, writes terms
+and open terms alike.  In a ground position (`init`, `parse_term`), and
+only there, `atom * n` repeats an atom and a variable is an error.  Rule
+bodies use `->` (the left side must already be a complete pattern) or
+`=>` (a fresh residue term variable is appended to the top level of both
+sides); the `wrap` marker turns an atom-only rule `a b => c` into
+`(a b ~w | $Y) $Z -> (c ~w | $Y) $Z`, with either arrow accepted.  Rates
+are `@ k` (mass action) or `@ fn(expr)` with `n`, `count_l(atom)`,
+`count_r(atom)`, numbers and `+ - * /`.
 
 The item keywords (init, rule, observe, tmax, seed, sample, maxevents,
 replicates) are reserved and cannot name atoms or variables; that is what
@@ -37,14 +39,16 @@ from .pattern import (
     OpenCompartment,
     OpenTerm,
     RuleValidationError,
+    TERM,
     Variable,
+    ground_term,
     term_var,
     vars_of,
     validate_rule,
     wrap_var,
 )
 from .rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num
-from .terms import EMPTY, Atom, Compartment, Observable, Scope, Term
+from .terms import Atom, Compartment, Observable, Scope, Term
 
 
 @dataclass(frozen=True)
@@ -212,59 +216,12 @@ class _Parser:
             self.fail(tok, f"expected {what}, got {tok.describe()}")
         return self.advance()
 
-    # ground terms (init) ----------------------------------------------
+    # terms ---------------------------------------------------------------
+    # spans is None in a ground position (init, parse_term): there `atom * n`
+    # repeats an atom and every variable is reported where it is met.
+    # Otherwise spans maps each rule variable to the tokens it occurs at.
 
-    def ground_term(self, rep: bool) -> Term:
-        if self.cur.kind == "*":
-            self.advance()
-            return EMPTY
-        items = []
-        while True:
-            tok = self.cur
-            if _atom_token(tok):
-                self.advance()
-                items.append((Atom(tok.text), self.repetition(rep)))
-            elif tok.kind in ("tvar", "wvar"):
-                self.note(tok, "variables are not allowed in init")
-                self.advance()
-            elif tok.kind == "(":
-                items.append((self.ground_compartment(rep), 1))
-            else:
-                break
-        if not items:
-            self.fail(self.cur, f"expected a term, got {self.cur.describe()}")
-        return Term(items)
-
-    def repetition(self, rep: bool) -> int:
-        if not rep or self.cur.kind != "*":
-            return 1
-        self.advance()
-        tok = self.expect("number", "a count after '*'")
-        if not tok.text.isdigit():
-            self.fail(tok, f"repetition count must be an integer, got '{tok.text}'")
-        return int(tok.text)
-
-    def ground_compartment(self, rep: bool) -> Compartment:
-        self.expect("(", "'('")
-        wrap = []
-        while True:
-            tok = self.cur
-            if _atom_token(tok):
-                self.advance()
-                wrap.append((Atom(tok.text), self.repetition(rep)))
-            elif tok.kind == "wvar":
-                self.note(tok, "variables are not allowed in init")
-                self.advance()
-            else:
-                break
-        self.expect("|", "'|' between wrap and content")
-        content = self.ground_term(rep)
-        self.expect(")", "')'")
-        return Compartment(wrap, content)
-
-    # open terms (rules) -----------------------------------------------
-
-    def open_term(self, spans: dict) -> OpenTerm:
+    def term(self, spans: Optional[dict]) -> OpenTerm:
         if self.cur.kind == "*":
             self.advance()
             return OpenTerm()
@@ -273,27 +230,37 @@ class _Parser:
             tok = self.cur
             if _atom_token(tok):
                 self.advance()
-                items.append(Atom(tok.text))
-            elif tok.kind == "tvar":
-                self.advance()
-                v = term_var(tok.text)
-                spans.setdefault(v, []).append(tok)
-                items.append(v)
-            elif tok.kind == "wvar":
-                # kind misuse; let validate_rule report it uniformly
-                self.advance()
-                v = wrap_var(tok.text)
-                spans.setdefault(v, []).append(tok)
-                items.append(v)
+                items.append((Atom(tok.text), self.repetition(spans)))
+            elif tok.kind in ("tvar", "wvar"):
+                # a wrap variable here is a kind misuse; validate_rule reports it
+                self.variable(tok, spans, items)
             elif tok.kind == "(":
-                items.append(self.open_compartment(spans))
+                items.append(self.compartment(spans))
             else:
                 break
         if not items:
             self.fail(self.cur, f"expected a term, got {self.cur.describe()}")
         return OpenTerm(items)
 
-    def open_compartment(self, spans: dict) -> OpenCompartment:
+    def repetition(self, spans: Optional[dict]) -> int:
+        if spans is not None or self.cur.kind != "*":
+            return 1
+        self.advance()
+        tok = self.expect("number", "a count after '*'")
+        if not tok.text.isdigit():
+            self.fail(tok, f"repetition count must be an integer, got '{tok.text}'")
+        return int(tok.text)
+
+    def variable(self, tok: _Token, spans: Optional[dict], out: list):
+        self.advance()
+        if spans is None:
+            self.note(tok, "variables are not allowed in init")
+            return
+        v = (wrap_var if tok.kind == "wvar" else term_var)(tok.text)
+        spans.setdefault(v, []).append(tok)
+        out.append(v)
+
+    def compartment(self, spans: Optional[dict]) -> OpenCompartment:
         self.expect("(", "'('")
         wrap_atoms = []
         wrap_vars = []
@@ -301,16 +268,13 @@ class _Parser:
             tok = self.cur
             if _atom_token(tok):
                 self.advance()
-                wrap_atoms.append(Atom(tok.text))
-            elif tok.kind in ("wvar", "tvar"):
-                self.advance()
-                v = (wrap_var if tok.kind == "wvar" else term_var)(tok.text)
-                spans.setdefault(v, []).append(tok)
-                wrap_vars.append(v)
+                wrap_atoms.append((Atom(tok.text), self.repetition(spans)))
+            elif tok.kind == "wvar" or (tok.kind == "tvar" and spans is not None):
+                self.variable(tok, spans, wrap_vars)
             else:
                 break
         self.expect("|", "'|' between wrap and content")
-        content = self.open_term(spans)
+        content = self.term(spans)
         self.expect(")", "')'")
         return OpenCompartment(wrap_atoms, wrap_vars, content)
 
@@ -428,7 +392,7 @@ class _ModelBuilder:
             keyword = p.advance()
             try:
                 if keyword.text == "init":
-                    self.inits.append((p.ground_term(rep=True), keyword))
+                    self.inits.append((ground_term(p.term(None)), keyword))
                 elif keyword.text == "rule":
                     self.parse_rule(p)
                 elif keyword.text == "observe":
@@ -453,11 +417,11 @@ class _ModelBuilder:
         is_wrap = p.cur.kind == "name" and p.cur.text == "wrap"
         if is_wrap:
             p.advance()
-        lhs = p.open_term(lhs_spans)
+        lhs = p.term(lhs_spans)
         if p.cur.kind not in ("->", "=>"):
             p.fail(p.cur, f"expected '->' or '=>', got {p.cur.describe()}")
         arrow = p.advance()
-        rhs = p.open_term(rhs_spans)
+        rhs = p.term(rhs_spans)
         rate = p.rate()
 
         if is_wrap:
@@ -589,7 +553,7 @@ def parse_term(text: str) -> Term:
     diags: list = []
     p = _Parser(_lex(text, diags), diags)
     try:
-        t = p.ground_term(rep=True)
+        t = ground_term(p.term(None))
         if p.cur.kind != "eof":
             p.note(p.cur, f"trailing input: {p.cur.describe()}")
     except _Recover:
@@ -608,41 +572,25 @@ def parse_rule(text: str, rule_id: str = "r"):
 # formatting -----------------------------------------------------------
 
 
-def format_term(t: Term) -> str:
-    """Canonical text; parsing it back yields an equal term."""
-    if t.is_empty():
+def _word(el) -> str:
+    if type(el) is Variable:
+        return ("$" if el.kind == TERM else "~") + el.name
+    return el.name
+
+
+def format_term(t) -> str:
+    """Canonical text of a term or an open term in the model syntax; parsing
+    a term's text back yields an equal term."""
+    if not t.items:
         return "*"
     parts = []
     for el, n in t.items:
-        if type(el) is Atom:
-            parts.extend([el.name] * n)
+        if type(el) in (Atom, Variable):
+            s = _word(el)
         else:
-            parts.extend([_format_compartment(el)] * n)
-    return " ".join(parts)
-
-
-def _format_compartment(c: Compartment) -> str:
-    wrap = " ".join(a.name for a, n in c.wrap for _ in range(n))
-    return f"({wrap} | {format_term(c.content)})"
-
-
-def _format_var(v: Variable) -> str:
-    return ("$" if v.kind == "term" else "~") + v.name
-
-
-def format_open_term(o: OpenTerm) -> str:
-    if not o.items:
-        return "*"
-    parts = []
-    for el, n in o.items:
-        if type(el) is Atom:
-            s = el.name
-        elif type(el) is Variable:
-            s = _format_var(el)
-        else:
-            inner = [a.name for a, k in el.wrap_atoms for _ in range(k)]
-            inner += [_format_var(v) for v, k in el.wrap_vars for _ in range(k)]
-            s = f"({' '.join(inner)} | {format_open_term(el.content)})"
+            wrap = el.wrap if type(el) is Compartment else el.wrap_atoms + el.wrap_vars
+            words = " ".join(_word(w) for w, k in wrap for _ in range(k))
+            s = f"({words} | {format_term(el.content)})"
         parts.extend([s] * n)
     return " ".join(parts)
 
@@ -662,6 +610,6 @@ def format_rate(spec) -> str:
 
 def format_rule(rule) -> str:
     return (
-        f"rule {rule.id}: {format_open_term(rule.lhs_open)} -> "
-        f"{format_open_term(rule.rhs)} @ {format_rate(rule.rate)}"
+        f"rule {rule.id}: {format_term(rule.lhs_open)} -> "
+        f"{format_term(rule.rhs)} @ {format_rate(rule.rate)}"
     )

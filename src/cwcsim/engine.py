@@ -250,23 +250,19 @@ def derive_seed(seed: int, replicate: int) -> int:
 
 def _check_limits(state: Term, cfg: SimConfig, rule_id, path, time):
     if state.size > cfg.max_term_size:
-        raise SimulationError(
-            f"term size {state.size} exceeds limit {cfg.max_term_size}"
-            + (f" (rule {rule_id})" if rule_id else ""),
-            rule_id=rule_id,
-            path=path,
-            time=time,
-            code="resource-limit-exceeded",
-        )
-    if state.depth > cfg.max_depth:
-        raise SimulationError(
-            f"term depth {state.depth} exceeds limit {cfg.max_depth}"
-            + (f" (rule {rule_id})" if rule_id else ""),
-            rule_id=rule_id,
-            path=path,
-            time=time,
-            code="resource-limit-exceeded",
-        )
+        what, value, limit = "size", state.size, cfg.max_term_size
+    elif state.depth > cfg.max_depth:
+        what, value, limit = "depth", state.depth, cfg.max_depth
+    else:
+        return
+    raise SimulationError(
+        f"term {what} {value} exceeds limit {limit}"
+        + (f" (rule {rule_id})" if rule_id else ""),
+        rule_id=rule_id,
+        path=path,
+        time=time,
+        code="resource-limit-exceeded",
+    )
 
 
 def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:

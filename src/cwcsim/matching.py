@@ -1,4 +1,4 @@
-"""Context enumeration, pattern matching, and exact instantiation counting.
+"""Pattern matching and exact instantiation counting at one level content.
 
 Counting contract: for one matched content and one erased substitution, the
 number of distinct labeled instantiations factors into independent choices.
@@ -11,43 +11,16 @@ bindings are atom-free, and ground compartments, only determine the set of
 consumed copies, C(remaining, j): permuting them is invisible in the
 substitution.  Copies of a compartment containing no atoms at all are
 indistinguishable even under labeling and contribute a single choice.
+
+Nothing here enumerates contexts: the engine's propensity tree and
+`cwcsim count` each walk a state's levels themselves.
 """
 from __future__ import annotations
 
 from math import comb, perm
-from typing import Iterator, NamedTuple
 
 from .pattern import LevelPattern, Rule, apply_subst
-from .terms import (
-    Atom,
-    Compartment,
-    Path,
-    Term,
-    _canonical,
-    bag_contains,
-    bag_count,
-    bag_diff,
-)
-
-
-class Context(NamedTuple):
-    """A representative rewrite position: congruent sibling compartments are
-    reported once, with the number of copies backing the position."""
-
-    path: Path
-    multiplicity: int
-
-
-def enumerate_contexts(state: Term) -> list:
-    out: list = []
-    _walk_contexts(state, (), 1, out)
-    return out
-
-
-def _walk_contexts(content: Term, path: Path, mult: int, out: list):
-    out.append(Context(path, mult))
-    for i, el, n in content.compartments():
-        _walk_contexts(el.content, path + ((i, 0),), mult * n, out)
+from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
 
 
 def level_matches(lp: LevelPattern, content: Term) -> list:

@@ -18,7 +18,7 @@ from random import Random
 from typing import Iterator, Optional
 
 from .errors import CwcError
-from .pattern import OpenCompartment, OpenTerm, Rule, Variable, TERM
+from .pattern import OpenCompartment, OpenTerm, Rule, Variable
 from .terms import Atom, Compartment, Term, bag_total
 
 # Labeled values are plain sorted tuples:
@@ -205,6 +205,17 @@ def distinct_substitutions(rule: Rule, labeled_state) -> set:
     return found
 
 
+def _labeled_within(state_local: Term, max_atoms: int, max_depth: int):
+    """The complete labeling of state_local; raises beyond the bounds."""
+    if _atom_occurrences(state_local) > max_atoms:
+        raise OracleLimitError(
+            f"state has more than {max_atoms} atom occurrences"
+        )
+    if state_local.depth > max_depth:
+        raise OracleLimitError(f"state is nested deeper than {max_depth}")
+    return complete_labeling(state_local)
+
+
 def count_oracle(
     rule: Rule,
     state_local: Term,
@@ -217,24 +228,11 @@ def count_oracle(
 
     Intended only for small inputs; raises beyond the configured bounds.
     """
-    if _atom_occurrences(state_local) > max_atoms:
-        raise OracleLimitError(
-            f"state has more than {max_atoms} atom occurrences"
-        )
-    if state_local.depth > max_depth:
-        raise OracleLimitError(f"state is nested deeper than {max_depth}")
-    labeled = complete_labeling(state_local)
-    return _count_against(rule, labeled, outcome_local)
-
-
-def _count_against(rule: Rule, labeled_state, outcome_local: Term) -> int:
-    count = 0
-    for sigma_items in distinct_substitutions(rule, labeled_state):
-        sigma = dict(sigma_items)
-        produced = erase(_labeled_subst(rule.rhs, sigma))
-        if produced == outcome_local:
-            count += 1
-    return count
+    labeled = _labeled_within(state_local, max_atoms, max_depth)
+    return sum(
+        erase(_labeled_subst(rule.rhs, dict(sigma_items))) == outcome_local
+        for sigma_items in distinct_substitutions(rule, labeled)
+    )
 
 
 def oracle_total(
@@ -246,11 +244,5 @@ def oracle_total(
 ) -> int:
     """Total distinct labeled instantiations over all outcomes; catches a
     matcher that drops an outcome entirely."""
-    if _atom_occurrences(state_local) > max_atoms:
-        raise OracleLimitError(
-            f"state has more than {max_atoms} atom occurrences"
-        )
-    if state_local.depth > max_depth:
-        raise OracleLimitError(f"state is nested deeper than {max_depth}")
-    labeled = complete_labeling(state_local)
+    labeled = _labeled_within(state_local, max_atoms, max_depth)
     return len(distinct_substitutions(rule, labeled))

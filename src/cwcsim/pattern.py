@@ -9,7 +9,7 @@ left-hand side's variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .errors import CwcError
 from .terms import Atom, AtomBag, Compartment, Term, _canonical, _checked, atom_bag
@@ -89,9 +89,6 @@ class OpenCompartment:
         return f"OpenCompartment({self.wrap_atoms!r}, {self.wrap_vars!r}, {self.content!r})"
 
 
-SimpleOpen = Union[Atom, Variable, OpenCompartment]
-
-
 class OpenTerm:
     """A canonical multiset of atoms, term variables, and open compartments."""
 
@@ -114,15 +111,12 @@ class OpenTerm:
         return self._hash
 
     def __repr__(self):
-        from .dsl import format_open_term
+        from .dsl import format_term
 
-        return f"OpenTerm[{format_open_term(self)}]"
+        return f"OpenTerm[{format_term(self)}]"
 
     def union(self, other: "OpenTerm") -> "OpenTerm":
         return OpenTerm(self.items + other.items)
-
-
-OPEN_EMPTY = OpenTerm()
 
 
 def open_of_term(t: Term) -> OpenTerm:
@@ -149,29 +143,11 @@ def ground_term(o: OpenTerm) -> Term:
     return Term(out)
 
 
-def vars_of(obj) -> set:
-    """All variables occurring in an open term, pattern, or pattern level."""
-    acc: set = set()
-    _collect_vars(obj, acc)
-    return acc
-
-
-def _collect_vars(obj, acc: set):
-    if isinstance(obj, OpenTerm):
-        for el, _ in obj.items:
-            if type(el) is Variable:
-                acc.add(el)
-            elif type(el) is OpenCompartment:
-                for v, _ in el.wrap_vars:
-                    acc.add(v)
-                _collect_vars(el.content, acc)
-    elif isinstance(obj, LevelPattern):
-        acc.add(obj.residue)
-        for slot in obj.slots:
-            acc.add(slot.wrap_var)
-            _collect_vars(slot.content, acc)
-    else:
-        raise TypeError(f"cannot collect variables from {obj!r}")
+def vars_of(o: OpenTerm) -> set:
+    """All variables occurring in an open term."""
+    occurrences: dict = {}
+    _count_occurrences(o, occurrences)
+    return set(occurrences)
 
 
 class SubstitutionError(CwcError):

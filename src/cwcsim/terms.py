@@ -108,10 +108,6 @@ def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
     return tuple(out)
 
 
-def bag_union(*bags: AtomBag) -> AtomBag:
-    return _canonical(p for b in bags for p in b)
-
-
 class Compartment:
     """A wrapped compartment: an atom multiset around a content term."""
 
@@ -192,16 +188,6 @@ class Term:
         from .dsl import format_term  # cycle-free at call time
 
         return f"Term[{format_term(self)}]"
-
-    def is_empty(self) -> bool:
-        return not self.items
-
-    def count(self, element: SimpleTerm) -> int:
-        key = element._key
-        for el, n in self.items:
-            if el._key == key:
-                return n
-        return 0
 
     def count_atom_top(self, atom: Atom) -> int:
         for el, n in self.items:

@@ -10,20 +10,18 @@ import random
 
 import pytest
 
-from cwcsim import (
-    Atom,
-    Compartment,
-    MassAction,
+from cwcsim import Term
+from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
-    Term,
     apply_subst,
-    atom_bag,
     term_var,
     validate_rule,
     vars_of,
     wrap_var,
 )
+from cwcsim.rates import MassAction
+from cwcsim.terms import Atom, Compartment, atom_bag
 
 ATOM_NAMES = ("a", "b", "c", "d")
 
@@ -51,6 +49,14 @@ def gen_term(rng: random.Random, depth: int = 2, atom_budget: int = 8) -> Term:
             count = 2 if rng.random() < 0.3 else 1
             elements.append((comp, count))
     return Term(elements)
+
+
+def levels(state: Term, path=()):
+    """(path, content) of every level of state, congruent copies once, in
+    pre-order: the contexts the engine's transitions are reported at."""
+    yield path, state
+    for i, el, _ in state.compartments():
+        yield from levels(el.content, path + ((i, 0),))
 
 
 class _RuleGen:

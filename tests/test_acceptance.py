@@ -15,28 +15,21 @@ from pathlib import Path
 import pytest
 
 from cwcsim import (
-    EMPTY,
-    Atom,
-    Compartment,
     Model,
     SimConfig,
     Term,
-    atom_bag,
-    bag_count,
-    bag_total,
     count_oracle,
-    enumerate_contexts,
     enumerate_transitions,
-    level_outcomes,
     oracle_total,
     parse_model,
     parse_rule,
     parse_term,
-    resolve,
     run,
     run_replicates,
 )
-from tests.conftest import ATOM_NAMES, gen_rule, gen_term, instantiate_lhs
+from cwcsim.matching import level_outcomes
+from cwcsim.terms import EMPTY, Atom, Compartment, atom_bag, bag_count, bag_total
+from tests.conftest import ATOM_NAMES, gen_rule, gen_term, instantiate_lhs, levels
 
 
 def _bundled(name: str) -> str:
@@ -116,8 +109,7 @@ def test_c03_oracle_equivalence_500_instances():
         if state is None:
             continue
         instances += 1
-        for path, _ in enumerate_contexts(state):
-            content = resolve(state, path)
+        for _, content in levels(state):
             rows = level_outcomes(rule, content)
             for outcome, n in rows:
                 assert count_oracle(rule, content, outcome) == n

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, output formats, CSV files."""
 import filecmp
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 import cwcsim.cli as cli
+import cwcsim.engine as engine
 from cwcsim.cli import main
 
 DEATH = (
@@ -84,6 +86,14 @@ def test_count_with_oracle_agrees(write, capsys):
     assert "n=2" in out and "n=1" in out
     assert "total=3 oracle=3 OK" in out
     assert "MISMATCH" not in out
+
+
+def test_count_reports_congruent_copies_once(write, capsys):
+    path = write("init a (b | c (d | e)) (b | c (d | e))\nrule r: c => d @ 1\n")
+    assert main(["count", path, "r", "--oracle"]) == 0
+    totals = [line.split(" oracle=")[0] for line in capsys.readouterr().out.splitlines()
+              if "total=" in line]
+    assert totals == ["path=top total=0", "path=1 total=1", "path=1/1 total=0"]
 
 
 def test_count_unknown_rule(write, capsys):
@@ -180,6 +190,31 @@ def test_override_replaces_top_level_count(write, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", path, "--override", "a=3", "--out-dir", str(out)])
     assert exc.value.code == 2
+
+
+def test_run_reports_cross_check_disagreements(write, tmp_path, capsys, monkeypatch):
+    path = write(DEATH + "replicates 2\n")
+    args = ["run", path, "--cross-check", "--jobs", "1", "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 0
+    assert "cross-check" not in capsys.readouterr().err
+    # an uncached reference that finds nothing disagrees with every store
+    monkeypatch.setattr(engine, "enumerate_transitions", lambda state, rules: [])
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out.count("wrote ") == 3
+    assert re.fullmatch(
+        r"cross-check: [1-9]\d* disagreements in replicate 0\n"
+        r"cross-check: [1-9]\d* disagreements in replicate 1\n", err)
+
+
+def test_jobs_below_one_is_a_usage_error(write, tmp_path, capsys):
+    path = write(DEATH)
+    for replicates in ("1", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--replicates", replicates, "--jobs", "0",
+                  "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(write, tmp_path, capsys):

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 
 from cwcsim import (
-    EMPTY,
-    Atom,
-    MassAction,
     ModelError,
-    Scope,
     format_path,
-    format_rule,
     format_term,
-    level_outcomes,
     parse_model,
     parse_rule,
     parse_term,
 )
+from cwcsim.dsl import format_rule
+from cwcsim.matching import level_outcomes
+from cwcsim.rates import MassAction
+from cwcsim.terms import EMPTY, Atom, Scope
 from tests.test_terms import terms
 
 
@@ -96,6 +94,17 @@ def test_diagnostic_positions():
     except ModelError as e:
         err = e
     assert "m.cwc:2:14:" in str(err)
+
+
+def test_ground_positions_share_the_rule_grammar():
+    ds = diags_of("init a $X (m ~y | b)\nrule r: a => b @ 1\n")
+    assert [(d.line, d.col, d.message) for d in ds] == [
+        (1, 8, "variables are not allowed in init"),
+        (1, 14, "variables are not allowed in init"),
+    ]
+    d, = diags_of("init a\nrule r: a * 2 -> b @ 1\n")
+    assert (d.line, d.col) == (2, 11) and "'*'" in d.message
+    assert parse_term("(m * 2 | b)") == parse_term("(m m | b)")
 
 
 def test_recovery_reports_every_bad_item():

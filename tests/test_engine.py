@@ -8,17 +8,14 @@ from cwcsim import (
     Model,
     SimConfig,
     SimulationError,
-    TransitionStore,
-    derive_seed,
     enumerate_transitions,
-    incremental_retransitions,
     parse_model,
     parse_term,
-    replace_at,
     run,
     run_replicates,
-    step,
 )
+from cwcsim.engine import TransitionStore, derive_seed, incremental_retransitions, step
+from cwcsim.terms import replace_at
 from tests.conftest import gen_rule, gen_term, instantiate_lhs
 
 

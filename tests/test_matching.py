@@ -3,20 +3,11 @@ import gc
 
 import pytest
 
-from cwcsim import (
-    EMPTY,
-    Context,
-    apply_subst,
-    count_oracle,
-    enumerate_contexts,
-    level_matches,
-    level_outcomes,
-    oracle_total,
-    parse_rule,
-    parse_term,
-    resolve,
-)
-from tests.conftest import gen_rule, gen_term, instantiate_lhs
+from cwcsim import count_oracle, oracle_total, parse_rule, parse_term
+from cwcsim.matching import level_matches, level_outcomes
+from cwcsim.pattern import apply_subst
+from cwcsim.terms import EMPTY, resolve
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
 
 
 def assert_oracle_agrees(rule, content):
@@ -99,16 +90,6 @@ def test_mixed_slot_and_ground_on_same_species():
     assert sum(n for _, n in rows) == 6
 
 
-def test_enumerate_contexts_reports_copies_once():
-    state = parse_term("a (b | c (d | e)) (b | c (d | e))")
-    assert enumerate_contexts(state) == [
-        Context((), 1),
-        Context(((1, 0),), 2),
-        Context(((1, 0), (1, 0)), 2),
-    ]
-    assert enumerate_contexts(EMPTY) == [Context((), 1)]
-
-
 def test_outcomes_at_inner_context():
     r = parse_rule("d $X -> e $X @ 1")
     state = parse_term("a (b | d d)")
@@ -151,8 +132,7 @@ def test_randomized_against_oracle(rng):
     for trial in range(80):
         rule = gen_rule(rng, f"t{trial}")
         state = instantiate_lhs(rng, rule) if trial % 2 else gen_term(rng)
-        for path, _ in enumerate_contexts(state):
-            content = resolve(state, path)
+        for _, content in levels(state):
             # stay inside the oracle's enumeration bounds
             if content.depth > 3 or content.size > 16:
                 continue

@@ -4,15 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from cwcsim import (
+from cwcsim import count_oracle, oracle_total, parse_rule, parse_term
+from cwcsim.oracle import (
     OracleLimitError,
     complete_labeling,
-    count_oracle,
     distinct_substitutions,
     erase,
-    oracle_total,
-    parse_rule,
-    parse_term,
 )
 from tests.conftest import gen_rule, gen_term, instantiate_lhs
 from tests.test_terms import terms

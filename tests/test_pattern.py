@@ -2,26 +2,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwcsim import (
-    EMPTY,
-    Atom,
-    MassAction,
+from cwcsim import Term, parse_rule, parse_term
+from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
     RuleValidationError,
     SubstitutionError,
-    Term,
     apply_subst,
-    atom_bag,
     ground_term,
     open_of_term,
-    parse_rule,
-    parse_term,
     term_var,
     validate_rule,
     vars_of,
     wrap_var,
 )
+from cwcsim.rates import MassAction
+from cwcsim.terms import EMPTY, Atom, atom_bag
 from tests.test_terms import terms
 
 A = Atom

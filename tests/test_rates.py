@@ -1,7 +1,9 @@
 """Rate laws: mass action times n, function expressions over local counts."""
 import pytest
 
-from cwcsim import EMPTY, FnRate, MassAction, RateEvaluationError, parse_rule, parse_term, rate_of
+from cwcsim import parse_rule, parse_term
+from cwcsim.rates import FnRate, MassAction, RateEvaluationError, rate_of
+from cwcsim.terms import EMPTY
 from cwcsim.rates import BinOp, CountL, CountR, MatchCount, Num
 
 

@@ -2,30 +2,29 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwcsim import (
+from cwcsim import Term, parse_term, format_term
+from cwcsim.errors import InvalidPathError
+from cwcsim.pattern import (
+    OpenCompartment,
+    OpenTerm,
+    apply_subst,
+    open_of_term,
+    term_var,
+    wrap_var,
+)
+from cwcsim.terms import (
     EMPTY,
     Atom,
     Compartment,
-    InvalidPathError,
-    OpenCompartment,
-    OpenTerm,
     Scope,
-    Term,
-    apply_subst,
     atom_bag,
     bag_contains,
     bag_count,
     bag_diff,
     bag_total,
-    bag_union,
     count_atom,
-    open_of_term,
-    parse_term,
-    format_term,
     replace_at,
     resolve,
-    term_var,
-    wrap_var,
 )
 
 atoms = st.sampled_from("a b c d".split()).map(Atom)
@@ -70,7 +69,7 @@ def test_congruence_examples():
 def test_empty_term_renders_as_star():
     assert parse_term("*") == EMPTY
     assert format_term(EMPTY) == "*"
-    assert EMPTY.is_empty() and EMPTY.size == 0 and not EMPTY.has_atoms
+    assert not EMPTY.items and EMPTY.size == 0 and not EMPTY.has_atoms
 
 
 def _size(el):
@@ -135,10 +134,10 @@ def test_path_errors():
 def test_multiset_arithmetic():
     t = parse_term("a a b (m | c)")
     comp = Compartment(atom_bag([Atom("m")]), parse_term("c"))
-    assert t.count(Atom("a")) == 2 and t.count(comp) == 1
+    assert t == Term([(Atom("a"), 2), Atom("b"), (comp, 1)])
     assert t.count_atom_top(Atom("c")) == 0
     assert t.union(parse_term("a")) == parse_term("a a a b (m | c)")
-    assert t.union(Term([(comp, 2)])).count(comp) == 3
+    assert t.union(Term([(comp, 2)])) == Term([(Atom("a"), 2), Atom("b"), (comp, 3)])
     assert t.subtract([(Atom("a"), 1), (comp, 1)]) == parse_term("a b")
     with pytest.raises(ValueError):
         t.subtract([(Atom("a"), 3)])
@@ -209,7 +208,6 @@ def test_bag_operations():
     assert bag_diff(bag, atom_bag([a])) == atom_bag([a, b])
     with pytest.raises(ValueError):
         bag_diff(atom_bag([a]), atom_bag([(a, 2)]))
-    assert bag_union(atom_bag([a]), atom_bag([b, a])) == bag
     with pytest.raises(ValueError):
         atom_bag([(a, -1)])
 
