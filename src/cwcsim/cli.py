@@ -34,7 +34,7 @@ from .engine import (
     enumerate_transitions,
     run_replicates,
 )
-from .matching import level_outcomes
+from .matching import outcome_terms
 from .oracle import OracleLimitError, count_oracle, oracle_total
 from .rates import RateEvaluationError
 from .terms import Atom, Term
@@ -108,7 +108,7 @@ def cmd_count(args) -> int:
         return 1
     mismatches = 0
     for path, content in _levels(model.init, ()):
-        rows = level_outcomes(rule, content)
+        rows = outcome_terms(rule, content)
         total = 0
         for outcome, n in rows:
             total += n

@@ -370,7 +370,8 @@ class _ModelBuilder:
     def __init__(self, source: str):
         self.source = source
         self.diags: list = []
-        self.inits: list = []
+        self.inits: list = []  # init keyword tokens, parsed or not
+        self.init: Optional[Term] = None
         self.rules: list = []
         self.rule_names: dict = {}
         self.observables: list = []
@@ -392,7 +393,8 @@ class _ModelBuilder:
             keyword = p.advance()
             try:
                 if keyword.text == "init":
-                    self.inits.append((ground_term(p.term(None)), keyword))
+                    self.inits.append(keyword)
+                    self.init = ground_term(p.term(None))
                 elif keyword.text == "rule":
                     self.parse_rule(p)
                 elif keyword.text == "observe":
@@ -526,7 +528,7 @@ class _ModelBuilder:
     # ------------------------------------------------------------------
 
     def finish(self):
-        for _, tok in self.inits[1:]:
+        for tok in self.inits[1:]:
             self.diags.append(
                 Diagnostic(tok.line, tok.col, "more than one init", "duplicate-init")
             )
@@ -535,7 +537,7 @@ class _ModelBuilder:
         if self.diags:
             raise ModelError(self.diags, self.source)
         return ModelFile(
-            init=self.inits[0][0],
+            init=self.init,
             rules=tuple(self.rules),
             observables=tuple(self.observables),
             directives=Directives(**self.directives),

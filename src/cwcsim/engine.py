@@ -8,8 +8,12 @@ count times the rate law evaluated on one copy.  The enabled transitions
 form a tree of level nodes cached by level content, each holding its rated
 local transitions and its subtree total, so after an event only the nodes
 on the rewritten path are built and nothing else is re-rated; selection
-descends the tree by the totals.  A config flag cross-checks every store
-against an uncached recomputation.
+descends the tree by the totals.  A local transition holds its outcome as
+an unbuilt delta (matching.Outcome), grouped by signed delta and rated from
+it; the outcome term is built only when a transition is selected or
+listed, and the node's Outcome keeps it for every later store that reaches
+the node.  A config flag cross-checks every store against an uncached
+recomputation.
 """
 from __future__ import annotations
 
@@ -111,8 +115,10 @@ class SimulationError(CwcError):
 class _Node:
     """The rated transitions of one level content and all inside it, a pure
     function of the content: local holds (rule_index, outcome, n_local,
-    rate_local > 0), children (element_index, copies, node) for each enabled
-    subtree, total the summed rate of one copy and count its transitions."""
+    rate_local > 0) in match order, outcome a matching.Outcome that builds
+    and keeps its term on first use; children (element_index, copies, node)
+    for each enabled subtree, total the summed rate of one copy and count
+    its transitions."""
 
     __slots__ = ("local", "children", "total", "count")
 
@@ -183,7 +189,9 @@ class TransitionStore:
     def _transition(self, entry: tuple, path: Path, mult: int) -> Transition:
         i, outcome, n_local, rate = entry
         rule_id = self.rules[i].id
-        return Transition(rule_id, path, outcome, mult * n_local, mult * rate, i, n_local, mult)
+        return Transition(
+            rule_id, path, outcome.term(), mult * n_local, mult * rate, i, n_local, mult
+        )
 
     def select(self, target: float) -> Transition:
         """The first transition in pre-order whose cumulative rate exceeds

@@ -12,6 +12,15 @@ consumed copies, C(remaining, j): permuting them is invisible in the
 substitution.  Copies of a compartment containing no atoms at all are
 indistinguishable even under labeling and contribute a single choice.
 
+A rule's local outcomes are kept as deltas and not built.  A match at the
+level being rewritten records the (element, count) pairs it consumes, and
+the rule's produced part (`Rule.produced`) is instantiated with its
+bindings; the outcome is content - consumed + produced.  For one content,
+two matches give the same outcome exactly when their signed deltas
+produced - consumed are equal, so grouping by the signed delta counts the
+instantiations per outcome.  An `Outcome` answers count_r from its delta
+and builds its term only when asked, once.
+
 Nothing here enumerates contexts: the engine's propensity tree and
 `cwcsim count` each walk a state's levels themselves.
 """
@@ -23,9 +32,13 @@ from .pattern import LevelPattern, Rule, apply_subst
 from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
 
 
-def level_matches(lp: LevelPattern, content: Term) -> list:
+def level_matches(lp: LevelPattern, content: Term, deltas: bool = False) -> list:
     """All distinct substitutions of lp against content, each with the number
-    of labeled instantiations it stands for.  Returns [(bindings, count)]."""
+    of labeled instantiations it stands for.  Returns [(bindings, count)],
+    the residue bound in bindings.  With deltas it returns
+    [(bindings, consumed, count)] instead: the residue is left unbound and
+    consumed lists the (element, count) pairs the match removes from content.
+    Slot levels inside always bind their residues."""
     factor = 1
     consumed_atoms = []
     for a, j in lp.atoms:
@@ -109,10 +122,13 @@ def level_matches(lp: LevelPattern, content: Term) -> list:
             consumed.append((el, len(grp)))
         for idx, j in ground_need.items():
             consumed.append((content.items[idx][0], j))
-        residue = content.subtract(p for p in consumed if p[1])
-        out_bindings = dict(bindings)
-        out_bindings[lp.residue] = residue
-        results.append((out_bindings, total))
+        consumed = tuple([p for p in consumed if p[1]])
+        # bindings is a fresh dict per completed placement.
+        if deltas:
+            results.append((bindings, consumed, total))
+        else:
+            bindings[lp.residue] = content.subtract(consumed) if consumed else content
+            results.append((bindings, total))
 
     place(0, {}, {}, {})
     # place refers to itself through its closure cell; clearing the cell lets
@@ -129,10 +145,57 @@ def _index_of(content: Term, element) -> int:
     return None
 
 
+class Outcome:
+    """One local outcome of a rule at a level content, kept as the delta
+    content - consumed + produced, both canonical (element, count) pairs."""
+
+    __slots__ = ("content", "consumed", "produced", "_term")
+
+    def __init__(self, content: Term, consumed: tuple, produced: tuple):
+        self.content = content
+        self.consumed = consumed
+        self.produced = produced
+        self._term = None
+
+    def count_atom_top(self, atom) -> int:
+        """count_r of the outcome, read off the delta."""
+        n = self.content.count_atom_top(atom)
+        n += sum(k for el, k in self.produced if el == atom)
+        return n - sum(k for el, k in self.consumed if el == atom)
+
+    def term(self) -> Term:
+        """The outcome term, built on the first call and kept."""
+        if self._term is None:
+            rest = self.content.subtract(self.consumed)
+            self._term = Term._of(_canonical(self.produced + rest.items))
+        return self._term
+
+
 def level_outcomes(rule: Rule, content: Term) -> list:
-    """Distinct local outcomes with their total instantiation counts,
-    sorted canonically.  Returns [(outcome, n)]."""
-    return list(_canonical(
-        (apply_subst(rule.rhs, bindings), count)
-        for bindings, count in level_matches(rule.lhs, content)
-    ))
+    """Distinct local outcomes as unbuilt deltas, in match order, with their
+    total instantiation counts; matches are grouped by their signed delta
+    produced - consumed, zero entries dropped.  Returns [(Outcome, n)]."""
+    groups: dict = {}
+    for bindings, consumed, count in level_matches(rule.lhs, content, True):
+        if rule.produced is not None:
+            produced = apply_subst(rule.produced, bindings).items
+        else:  # the residue is dropped, repeated or nested on the right
+            bindings[rule.lhs.residue] = content.subtract(consumed)
+            produced = apply_subst(rule.rhs, bindings).items
+            consumed = content.items
+        signed = dict(produced)
+        for el, n in consumed:
+            signed[el] = signed.get(el, 0) - n
+        key = frozenset(p for p in signed.items() if p[1])
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [Outcome(content, consumed, produced), count]
+        else:
+            group[1] += count
+    return [(outcome, n) for outcome, n in groups.values()]
+
+
+def outcome_terms(rule: Rule, content: Term) -> list:
+    """Distinct local outcomes built as terms, with their total
+    instantiation counts, sorted canonically.  Returns [(outcome, n)]."""
+    return list(_canonical((o.term(), n) for o, n in level_outcomes(rule, content)))

@@ -238,13 +238,20 @@ class RuleIssue:
 
 @dataclass(eq=False)
 class Rule:
-    """A validated rewrite rule with its compiled left-hand side."""
+    """A validated rewrite rule with its compiled left-hand side.
+
+    produced is the right-hand side without the top residue variable when
+    that variable occurs there exactly once and nowhere deeper (every `=>`
+    rule): an outcome is then the matched content minus what the match
+    consumed plus produced instantiated.  It is None for any other shape.
+    """
 
     id: str
     lhs: LevelPattern
     rhs: OpenTerm
     rate: object
     lhs_open: OpenTerm = field(repr=False, default=None)
+    produced: Optional[OpenTerm] = field(repr=False, default=None)
 
 
 def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1") -> Rule:
@@ -277,8 +284,10 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
             RuleIssue("empty-pattern", "left-hand side consumes nothing", None)
         )
 
-    lhs_vars = set(occurrences)
-    for v in sorted(vars_of(rhs) - lhs_vars, key=lambda v: (v.kind, v.name)):
+    rhs_occurrences: dict = {}
+    _count_occurrences(rhs, rhs_occurrences)
+    unbound = set(rhs_occurrences) - set(occurrences)
+    for v in sorted(unbound, key=lambda v: (v.kind, v.name)):
         sigil = "$" if v.kind == TERM else "~"
         issues.append(
             RuleIssue(
@@ -294,7 +303,10 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
         from .rates import MassAction
 
         rate = MassAction(1.0)
-    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs)
+    produced = None
+    if rhs_occurrences.get(level.residue) == 1 and (level.residue, 1) in rhs.items:
+        produced = OpenTerm(p for p in rhs.items if p[0] != level.residue)
+    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs, produced=produced)
 
 
 def _check_kinds(o: OpenTerm, issues: list, side: str):

@@ -67,7 +67,8 @@ def _checked(items: Iterable, kinds, what: str) -> list:
 def _canonical(pairs: Iterable) -> tuple:
     """The canonical form of a multiset: counts of equal elements merged,
     zero counts dropped, pairs sorted by ``_key``.  Of equal elements the
-    last is kept, so ``apply_subst`` outcomes share the residue's objects."""
+    last is kept, so an outcome built from produced + rest pairs shares the
+    matched content's objects."""
     merged: dict = {}
     for el, n in pairs:
         if n:

@@ -27,7 +27,7 @@ from cwcsim import (
     run,
     run_replicates,
 )
-from cwcsim.matching import level_outcomes
+from cwcsim.matching import outcome_terms
 from cwcsim.terms import EMPTY, Atom, Compartment, atom_bag, bag_count, bag_total
 from tests.conftest import ATOM_NAMES, gen_rule, gen_term, instantiate_lhs, levels
 
@@ -110,7 +110,7 @@ def test_c03_oracle_equivalence_500_instances():
             continue
         instances += 1
         for _, content in levels(state):
-            rows = level_outcomes(rule, content)
+            rows = outcome_terms(rule, content)
             for outcome, n in rows:
                 assert count_oracle(rule, content, outcome) == n
                 comparisons += 1

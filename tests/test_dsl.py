@@ -13,7 +13,7 @@ from cwcsim import (
     parse_term,
 )
 from cwcsim.dsl import format_rule
-from cwcsim.matching import level_outcomes
+from cwcsim.matching import outcome_terms
 from cwcsim.rates import MassAction
 from cwcsim.terms import EMPTY, Atom, Scope
 from tests.test_terms import terms
@@ -58,14 +58,14 @@ def test_arrow_sugar_appends_fresh_residue():
     explicit = parse_rule("a a $X -> a c $X @ 1")
     for text in ("a a a b", "a a", "a"):
         state = parse_term(text)
-        assert level_outcomes(sugar, state) == level_outcomes(explicit, state)
+        assert outcome_terms(sugar, state) == outcome_terms(explicit, state)
     assert "$_W" in format_rule(sugar)
 
 
 def test_fresh_residue_avoids_capture():
     r = parse_rule("a (m ~x | $_W) => b $_W @ 1")
     assert "$_W2" in format_rule(r)
-    assert level_outcomes(r, parse_term("a (m | c)")) == [(parse_term("b c"), 1)]
+    assert outcome_terms(r, parse_term("a (m | c)")) == [(parse_term("b c"), 1)]
 
 
 def test_wrap_sugar_expands_to_membrane_rule():
@@ -73,8 +73,8 @@ def test_wrap_sugar_expands_to_membrane_rule():
     assert format_rule(w) == "rule r: (a b ~w | $Y) $Z -> (c ~w | $Y) $Z @ 2.0"
     assert parse_rule("wrap a -> c @ 1").rate == MassAction(1.0)
     state = parse_term("(a b p | q) r")
-    assert level_outcomes(w, state) == [(parse_term("(c p | q) r"), 1)]
-    assert level_outcomes(w, parse_term("(a | q)")) == []
+    assert outcome_terms(w, state) == [(parse_term("(c p | q) r"), 1)]
+    assert outcome_terms(w, parse_term("(a | q)")) == []
 
 
 def test_diagnostic_positions():
@@ -127,6 +127,14 @@ def test_duplicates_and_missing_init():
     assert any(d.code == "missing-init" for d in diags_of("rule r: a => b @ 1\n"))
     assert any("duplicate observable" in d.message for d in diags_of(
         "init a\nrule r: a => b @ 1\nobserve x: a in top\nobserve x: b in top\n"))
+
+
+@pytest.mark.parametrize("text", ["init (m $X | a)\n", "init a (\n"])
+def test_one_bad_init_is_one_diagnostic(text):
+    # The init statement is there; only its term fails to parse.
+    ds = diags_of(text)
+    assert [d.code for d in ds] == ["syntax-error"]
+    assert ds[0].message.startswith("expected '|' between wrap and content")
 
 
 def test_directives():

@@ -1,0 +1,204 @@
+"""Lazy outcomes: the store rates every match from its consumed/produced
+delta and builds an outcome term only when a transition is selected or
+listed.  Checked against an eager per-level enumeration that builds every
+outcome, and against the labeled-enumeration oracle."""
+import dataclasses
+import importlib.resources
+import random
+import time
+
+import pytest
+
+from cwcsim import Term, count_oracle, oracle_total, parse_model, parse_rule, parse_term
+from cwcsim.engine import TransitionStore
+from cwcsim.matching import level_matches, level_outcomes
+from cwcsim.pattern import apply_subst
+from cwcsim.rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num, rate_of
+from cwcsim.terms import Atom, replace_at
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
+
+A, B = Atom("a"), Atom("b")
+LAWS = (
+    MassAction(1.0),
+    FnRate(BinOp("*", MatchCount(), MatchCount())),
+    FnRate(Num(1.0)),
+    FnRate(CountL(A)),
+    FnRate(BinOp("+", CountR(A), BinOp("*", Num(2.0), CountR(B)))),
+)
+
+
+def eager(state: Term, rules) -> list:
+    """Every (rule_id, path, outcome key, n, rate) of state, with each
+    outcome built in full: residues bound, the whole right-hand side
+    instantiated, grouped by outcome term and rated on the built term."""
+    rows = []
+    for path, content in levels(state):
+        mult, t = 1, state
+        for i, _ in path:
+            el, copies = t.items[i]
+            mult, t = mult * copies, el.content
+        for rule in rules:
+            groups: dict = {}
+            for bindings, count in level_matches(rule.lhs, content):
+                outcome = apply_subst(rule.rhs, bindings)
+                groups[outcome] = groups.get(outcome, 0) + count
+            for outcome, n in groups.items():
+                rate = rate_of(rule.rate, content, outcome, n)
+                if rate > 0:
+                    rows.append((rule.id, path, outcome._key, mult * n, mult * rate))
+    return sorted(rows)
+
+
+def lazy(store: TransitionStore) -> list:
+    return sorted((t.rule_id, t.path, t.outcome_local._key, t.n, t.rate) for t in store)
+
+
+def with_law(rules, law) -> tuple:
+    return tuple(dataclasses.replace(r, rate=law) for r in rules)
+
+
+def test_store_equals_eager_on_random_states(rng):
+    compared = 0
+    for trial in range(60):
+        rules = [gen_rule(rng, f"r{i}") for i in range(3)]
+        state = gen_term(rng, depth=2, atom_budget=6).union(
+            instantiate_lhs(rng, rules[trial % 3])
+        )
+        for law in LAWS:
+            ruled = with_law(rules, law)
+            want = eager(state, ruled)
+            assert lazy(TransitionStore(state, ruled)) == want
+            compared += len(want)
+    assert compared > 500  # the comparison must not be vacuous
+
+
+def bundled(name: str, init: str):
+    text = importlib.resources.files("cwcsim").joinpath(f"models/{name}").read_text()
+    body = text.split("\nrule ", 1)[1]
+    return parse_model(f"init {init}\nrule {body}").rules
+
+
+PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
+MACROPHAGE = "(CD31 M | (lyso | lyticEnz) innerM)"
+APOPTOTIC = "(CD31 A N | innerA)"
+WALKS = [
+    ("pho.cwc", f"Pi*20 {PHO_CELL} {PHO_CELL} {PHO_CELL} {PHO_CELL}"),
+    ("macrophage.cwc", f"{MACROPHAGE} {MACROPHAGE} (CD31 V N | innerL) {APOPTOTIC} {APOPTOTIC}"),
+]
+
+
+@pytest.mark.parametrize("name, init", WALKS)
+def test_store_equals_eager_along_random_walks(name, init):
+    # count_r of atoms both models create and consume
+    law = FnRate(BinOp("+", MatchCount(), BinOp("+", CountR(Atom("Pi")), CountR(Atom("I")))))
+    started = time.perf_counter()
+    for rules in (bundled(name, init), with_law(bundled(name, init), law)):
+        rng = random.Random(14)
+        state = parse_term(init)
+        cache: dict = {}
+        for _ in range(100):
+            store = TransitionStore(state, rules, cache)
+            assert lazy(store) == eager(state, rules)
+            if not store:
+                break
+            chosen = store.select(rng.random() * store.total)
+            state = replace_at(state, chosen.path, chosen.outcome_local)
+    assert time.perf_counter() - started < 10.0
+
+
+def only(rule_text: str, state_text: str) -> tuple:
+    """The rule and its top-level (outcome, n, rate) rows at state, each
+    checked against the oracle and against the law rated on the built
+    outcome."""
+    rule = parse_rule(rule_text)
+    state = parse_term(state_text)
+    top = [t for t in TransitionStore(state, (rule,)) if t.path == ()]
+    for t in top:
+        assert t.n == count_oracle(rule, state, t.outcome_local)
+        assert t.rate == rate_of(rule.rate, state, t.outcome_local, t.n)
+    assert sum(t.n for t in top) == oracle_total(rule, state)
+    return rule, [(t.outcome_local, t.n, t.rate) for t in top]
+
+
+@pytest.mark.parametrize("rule_text, state_text, want", [
+    ("a $X -> b @ 1", "a a b (m | c)", [("b", 2, 2.0)]),
+    ("a $X -> $X $X @ 1", "a a b", [("a a b b", 2, 2.0)]),
+    ("a $X -> (m | $X) @ 1", "a b", [("(m | b)", 1, 1.0)]),
+])
+def test_residue_dropped_repeated_or_nested(rule_text, state_text, want):
+    rule, got = only(rule_text, state_text)
+    assert rule.produced is None  # the whole content is consumed
+    assert got == [(parse_term(o), n, rate) for o, n, rate in want]
+
+
+def test_cancelling_delta_rates_count_r_like_the_built_outcome():
+    rule, got = only("a b $X -> a c $X @ fn(count_r(a) + count_r(c))", "a a b c")
+    assert rule.produced is not None
+    assert got == [(parse_term("a a c c"), 2, 4.0)]
+    # a is consumed and produced again: its net change is 0
+    (outcome, _), = level_outcomes(rule, parse_term("a a b c"))
+    assert outcome._term is None
+    assert [outcome.count_atom_top(Atom(x)) for x in "abcd"] == [2, 0, 2, 0]
+
+
+def test_symmetric_substitutions_group_into_one_outcome():
+    # x = p, y = q and x = q, y = p give one outcome, so n = 2 and the law
+    # sees n = 2: one transition at rate 4, not two at rate 1
+    _, got = only(
+        "(m ~u | a $x) (m ~v | a $y) $z -> (m ~u | b $x) (m ~v | b $y) $z @ fn(n * n)",
+        "(m | a p) (m | a q)",
+    )
+    assert got == [(parse_term("(m | b p) (m | b q)"), 2, 4.0)]
+
+
+def test_untouched_copies_cancel_out_of_the_delta():
+    # a cell read and written back unchanged is consumed and produced: its
+    # net change is 0, so either cell as the catalyst gives one outcome
+    _, got = only("(m ~u | $x) $z -> (m ~u | $x) c $z @ fn(n * n)", "(m | p) (m | q)")
+    assert got == [(parse_term("c (m | p) (m | q)"), 2, 4.0)]
+
+
+def count_subtract(monkeypatch) -> list:
+    calls = []
+    original = Term.subtract
+
+    def counted(self, pairs):
+        calls.append(self)
+        return original(self, pairs)
+
+    monkeypatch.setattr(Term, "subtract", counted)
+    return calls
+
+
+MEMO = parse_model(
+    "init a a b (m | a b) (n | a a)\n"
+    "rule r1: a => c @ 1\n"
+    "rule r2: a b => d @ 2\n"
+    "rule r3: (m ~w | a $Y) => (k ~w | $Y) @ 3\n"
+)
+
+
+def test_selection_builds_each_outcome_once(monkeypatch):
+    cache: dict = {}
+    store = TransitionStore(MEMO.init, MEMO.rules, cache)
+    bounds = [0.0]
+    for t in TransitionStore(MEMO.init, MEMO.rules):  # its own cache and outcomes
+        bounds.append(bounds[-1] + t.rate)
+    midpoints = [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
+    calls = count_subtract(monkeypatch)
+    for _ in range(3):
+        for target in midpoints:
+            store.select(target)
+        assert len(calls) == len(store)  # one build per entry, on first use
+        store = TransitionStore(MEMO.init, MEMO.rules, cache)
+
+
+def test_iterating_a_store_twice_builds_nothing_new(monkeypatch):
+    cache: dict = {}
+    store = TransitionStore(MEMO.init, MEMO.rules, cache)
+    calls = count_subtract(monkeypatch)
+    first = list(store)
+    assert len(calls) == len(first) > 3
+    assert list(store) == first and len(calls) == len(first)
+    assert list(TransitionStore(MEMO.init, MEMO.rules, cache)) == first
+    assert len(calls) == len(first)
