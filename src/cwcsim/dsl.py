@@ -488,24 +488,19 @@ class _ModelBuilder:
                 f"got {scope_tok.describe()}",
             )
         p.advance()
-        if scope_tok.text == "top":
-            scope = Scope.top()
-        elif scope_tok.text == "anywhere":
-            scope = Scope.anywhere()
-        elif scope_tok.text == "inside":
-            scope = Scope.inside(Atom(p.atom_name("a marker atom").text))
-        elif scope_tok.text == "on-wrap":
-            marker = None
+        kind, marker = scope_tok.text, None
+        if kind == "inside":
+            marker = Atom(p.atom_name("a marker atom").text)
+        elif kind == "on-wrap":
             if p.cur.kind == "name" and p.cur.text not in _RESERVED:
                 marker = Atom(p.advance().text)
-            scope = Scope.on_wrap(marker)
-        else:
+        elif kind not in ("top", "anywhere"):
             p.fail(
                 scope_tok,
                 "expected one of top, anywhere, inside, on-wrap, "
                 f"got {scope_tok.describe()}",
             )
-        self.observables.append(Observable(name.text, atom, scope))
+        self.observables.append(Observable(name.text, atom, Scope(kind, marker)))
 
     def parse_directive(self, p: _Parser, keyword: _Token):
         tok = p.expect("number", f"a value after '{keyword.text}'")

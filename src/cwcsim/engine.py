@@ -34,9 +34,9 @@ from .terms import Path, Term, count_atom, replace_at
 class Transition:
     """One enabled rewrite: a rule applied at a context with one outcome.
 
-    n and rate already contain the context multiplicity (n = multiplicity
-    * n_local, rate = multiplicity * the rate law at n_local); applying the
-    transition yields replace_at(state, path, outcome_local).
+    multiplicity counts the context's congruent copies, and n and rate
+    already contain it: each is multiplicity times its value on one copy.
+    Applying the transition yields replace_at(state, path, outcome_local).
     """
 
     rule_id: str
@@ -44,8 +44,6 @@ class Transition:
     outcome_local: Term
     n: int
     rate: float
-    rule_index: int
-    n_local: int
     multiplicity: int
 
 
@@ -188,9 +186,8 @@ class TransitionStore:
 
     def _transition(self, entry: tuple, path: Path, mult: int) -> Transition:
         i, outcome, n_local, rate = entry
-        rule_id = self.rules[i].id
         return Transition(
-            rule_id, path, outcome.term(), mult * n_local, mult * rate, i, n_local, mult
+            self.rules[i].id, path, outcome.term(), mult * n_local, mult * rate, mult
         )
 
     def select(self, target: float) -> Transition:
@@ -223,17 +220,11 @@ def enumerate_transitions(state: Term, rules) -> list:
 
 
 def incremental_retransitions(
-    prev: TransitionStore,
-    applied: Transition,
-    next_state: Term,
-    rules,
-    *,
-    prev_state: Term,
-    cache: Optional[dict] = None,
+    prev: TransitionStore, next_state: Term, rules, cache: Optional[dict] = None
 ) -> TransitionStore:
-    """The store after one applied transition: every subtree the event left
-    unchanged is a cache hit, so only the nodes on the rewritten path are
-    built.  prev, applied and prev_state are not read."""
+    """The store after one event, given the store before it: every subtree
+    the event left unchanged is a cache hit, so only the nodes on the
+    rewritten path are built.  prev is not read."""
     return TransitionStore(next_state, rules, cache)
 
 
@@ -350,15 +341,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
                 return trajectory("horizon-reached")
             _check_limits(next_state, cfg, chosen.rule_id, chosen.path, t_new)
             transitions = cross_checked(
-                next_state,
-                incremental_retransitions(
-                    transitions,
-                    chosen,
-                    next_state,
-                    rules,
-                    prev_state=state,
-                    cache=cache,
-                ),
+                next_state, incremental_retransitions(transitions, next_state, rules, cache)
             )
             state = next_state
             t = t_new

@@ -12,12 +12,14 @@ consumed copies, C(remaining, j): permuting them is invisible in the
 substitution.  Copies of a compartment containing no atoms at all are
 indistinguishable even under labeling and contribute a single choice.
 
-A rule's local outcomes are kept as deltas and not built.  A match at the
-level being rewritten records the (element, count) pairs it consumes, and
-the rule's produced part (`Rule.produced`) is instantiated with its
-bindings; the outcome is content - consumed + produced.  For one content,
-two matches give the same outcome exactly when their signed deltas
-produced - consumed are equal, so grouping by the signed delta counts the
+A rule's local outcomes are kept as deltas and not built.  level_matches
+gives each match as its bindings, the (element, count) pairs it consumes
+and its count; the level's own residue stays unbound, while every slot
+level inside binds its residue to what its match leaves there.  The
+rule's produced part (`Rule.produced`) is instantiated with the bindings;
+the outcome is content - consumed + produced.  For one content, two
+matches give the same outcome exactly when their signed deltas produced -
+consumed are equal, so grouping by the signed delta counts the
 instantiations per outcome.  An `Outcome` answers count_r from its delta
 and builds its term only when asked, once.
 
@@ -26,27 +28,25 @@ Nothing here enumerates contexts: the engine's propensity tree and
 """
 from __future__ import annotations
 
+from itertools import product
 from math import comb, perm
 
 from .pattern import LevelPattern, Rule, apply_subst
 from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
 
 
-def level_matches(lp: LevelPattern, content: Term, deltas: bool = False) -> list:
+def level_matches(lp: LevelPattern, content: Term) -> list:
     """All distinct substitutions of lp against content, each with the number
-    of labeled instantiations it stands for.  Returns [(bindings, count)],
-    the residue bound in bindings.  With deltas it returns
-    [(bindings, consumed, count)] instead: the residue is left unbound and
-    consumed lists the (element, count) pairs the match removes from content.
-    Slot levels inside always bind their residues."""
+    of labeled instantiations it stands for.  Returns [(bindings, consumed,
+    count)]: consumed lists the (element, count) pairs the match removes from
+    content, in content order.  lp's own residue is left unbound; each slot
+    level inside binds its residue to what its match leaves there."""
     factor = 1
-    consumed_atoms = []
     for a, j in lp.atoms:
         m = content.count_atom_top(a)
         if m < j:
             return []
         factor *= comb(m, j)
-        consumed_atoms.append((a, j))
 
     ground_need: dict = {}
     for g, j in lp.grounds:
@@ -55,85 +55,54 @@ def level_matches(lp: LevelPattern, content: Term, deltas: bool = False) -> list
             return []
         ground_need[idx] = ground_need.get(idx, 0) + j
 
-    comp_elements = list(content.compartments())
-    results: list = []
-    interiors_memo: dict = {}
-
-    def interiors(slot_pos: int, idx: int) -> list:
-        key = (slot_pos, idx)
-        if key not in interiors_memo:
-            slot = lp.slots[slot_pos]
-            el = content.items[idx][0]
-            if not bag_contains(slot.wrap_atoms, el.wrap):
-                interiors_memo[key] = []
-            else:
-                x_val = bag_diff(el.wrap, slot.wrap_atoms)
-                wrap_choices = 1
-                for a, j in slot.wrap_atoms:
-                    wrap_choices *= comb(bag_count(el.wrap, a), j)
-                found = []
-                for inner_bindings, inner_count in level_matches(
-                    slot.content, el.content
-                ):
-                    labelful = bool(x_val) or any(
-                        v.has_atoms if isinstance(v, Term) else bool(v)
-                        for v in inner_bindings.values()
-                    )
-                    found.append(
-                        (inner_bindings, x_val, wrap_choices * inner_count, labelful)
-                    )
-                interiors_memo[key] = found
-        return interiors_memo[key]
-
-    def place(slot_pos: int, used: dict, bindings: dict, groups: dict):
-        if slot_pos == len(lp.slots):
-            _finalize(used, bindings, groups)
-            return
-        slot = lp.slots[slot_pos]
-        for idx, el, cnt in comp_elements:
-            if used.get(idx, 0) + ground_need.get(idx, 0) >= cnt:
+    # Per slot, every (index, bindings, count, labelful) it can take.
+    candidates = []
+    for slot in lp.slots:
+        found = []
+        for idx, el, cnt in content.compartments():
+            if ground_need.get(idx, 0) >= cnt or not bag_contains(slot.wrap_atoms, el.wrap):
                 continue
-            for inner_bindings, x_val, inner_count, labelful in interiors(
-                slot_pos, idx
-            ):
-                new_bindings = dict(bindings)
-                new_bindings.update(inner_bindings)
-                new_bindings[slot.wrap_var] = x_val
-                new_used = dict(used)
-                new_used[idx] = new_used.get(idx, 0) + 1
-                new_groups = dict(groups)
-                new_groups[idx] = groups.get(idx, ()) + ((inner_count, labelful),)
-                place(slot_pos + 1, new_used, new_bindings, new_groups)
+            x_val = bag_diff(el.wrap, slot.wrap_atoms)
+            wrap_choices = 1
+            for a, j in slot.wrap_atoms:
+                wrap_choices *= comb(bag_count(el.wrap, a), j)
+            for bindings, consumed, count in level_matches(slot.content, el.content):
+                bindings[slot.content.residue] = (
+                    el.content.subtract(consumed) if consumed else el.content
+                )
+                bindings[slot.wrap_var] = x_val
+                labelful = any(
+                    v.has_atoms if isinstance(v, Term) else bool(v)
+                    for v in bindings.values()
+                )
+                found.append((idx, bindings, wrap_choices * count, labelful))
+        if not found:
+            return []
+        candidates.append(found)
 
-    def _finalize(used: dict, bindings: dict, groups: dict):
+    results = []
+    for placement in product(*candidates):
+        taken = dict(ground_need)
+        labelful: dict = {}
+        for idx, _, _, lf in placement:
+            taken[idx] = taken.get(idx, 0) + 1
+            labelful[idx] = labelful.get(idx, 0) + lf
         total = factor
-        consumed = list(consumed_atoms)
-        for idx in set(ground_need) | set(groups):
+        consumed = list(lp.atoms)
+        for idx, k in sorted(taken.items()):
             el, cnt = content.items[idx]
-            grp = groups.get(idx, ())
-            labelful_slots = 0
-            for w, lf in grp:
-                total *= w
-                if lf:
-                    labelful_slots += 1
-            rest = (len(grp) - labelful_slots) + ground_need.get(idx, 0)
+            if k > cnt:  # more slots and grounds than copies
+                break
             if el.has_atoms:
-                total *= perm(cnt, labelful_slots) * comb(cnt - labelful_slots, rest)
-            consumed.append((el, len(grp)))
-        for idx, j in ground_need.items():
-            consumed.append((content.items[idx][0], j))
-        consumed = tuple([p for p in consumed if p[1]])
-        # bindings is a fresh dict per completed placement.
-        if deltas:
-            results.append((bindings, consumed, total))
+                j = labelful.get(idx, 0)
+                total *= perm(cnt, j) * comb(cnt - j, k - j)
+            consumed.append((el, k))
         else:
-            bindings[lp.residue] = content.subtract(consumed) if consumed else content
-            results.append((bindings, total))
-
-    place(0, {}, {}, {})
-    # place refers to itself through its closure cell; clearing the cell lets
-    # reference counting, not the cyclic collector, free the closures.
-    place = None
+            bindings = {}
+            for _, b, count, _ in placement:
+                total *= count
+                bindings.update(b)
+            results.append((bindings, tuple(consumed), total))
     return results
 
 
@@ -176,7 +145,7 @@ def level_outcomes(rule: Rule, content: Term) -> list:
     total instantiation counts; matches are grouped by their signed delta
     produced - consumed, zero entries dropped.  Returns [(Outcome, n)]."""
     groups: dict = {}
-    for bindings, consumed, count in level_matches(rule.lhs, content, True):
+    for bindings, consumed, count in level_matches(rule.lhs, content):
         if rule.produced is not None:
             produced = apply_subst(rule.produced, bindings).items
         else:  # the residue is dropped, repeated or nested on the right

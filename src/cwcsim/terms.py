@@ -282,22 +282,6 @@ class Scope:
     kind: str  # "top" | "anywhere" | "inside" | "on-wrap"
     selector: Optional[Atom] = None
 
-    @staticmethod
-    def top() -> "Scope":
-        return Scope("top")
-
-    @staticmethod
-    def anywhere() -> "Scope":
-        return Scope("anywhere")
-
-    @staticmethod
-    def inside(marker: Atom) -> "Scope":
-        return Scope("inside", marker)
-
-    @staticmethod
-    def on_wrap(marker: Optional[Atom] = None) -> "Scope":
-        return Scope("on-wrap", marker)
-
 
 @dataclass(frozen=True)
 class Observable:

@@ -139,7 +139,8 @@ def gen_rule(rng: random.Random, rule_id: str = "r"):
 def instantiate_lhs(rng: random.Random, rule) -> Term:
     """A state the rule matches at the top level, plus a little noise."""
     subst = {}
-    for v in vars_of(rule.lhs_open):
+    # vars_of is a set; its order follows the string hash seed.
+    for v in sorted(vars_of(rule.lhs_open), key=lambda v: v._key):
         if v.kind == "wrap":
             subst[v] = atom_bag(
                 Atom(rng.choice(ATOM_NAMES)) for _ in range(rng.randint(0, 1))

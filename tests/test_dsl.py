@@ -173,11 +173,11 @@ def test_observable_scopes():
         "observe v: a in on-wrap\n"
     )
     scopes = {o.name: o.scope for o in mf.observables}
-    assert scopes["t"] == Scope.top()
-    assert scopes["e"] == Scope.anywhere()
-    assert scopes["i"] == Scope.inside(Atom("m"))
-    assert scopes["w"] == Scope.on_wrap(Atom("m"))
-    assert scopes["v"] == Scope.on_wrap()
+    assert scopes["t"] == Scope("top")
+    assert scopes["e"] == Scope("anywhere")
+    assert scopes["i"] == Scope("inside", Atom("m"))
+    assert scopes["w"] == Scope("on-wrap", Atom("m"))
+    assert scopes["v"] == Scope("on-wrap")
     assert any("expected one of top, anywhere, inside, on-wrap" in d.message
                for d in diags_of("init a\nrule r: a => b @ 1\nobserve x: a in nowhere\n"))
     assert diags_of("init a\nrule r: a => b @ 1\nobserve x: a in inside\n")
@@ -263,4 +263,4 @@ def test_bundled_turing_model():
     assert len(mf.rules) == 8
     assert all(r.rate == MassAction(1.0) for r in mf.rules)
     ones, = mf.observables
-    assert ones.scope == Scope.on_wrap() and ones.atom == Atom("one")
+    assert ones.scope == Scope("on-wrap") and ones.atom == Atom("one")

@@ -39,7 +39,8 @@ def eager(state: Term, rules) -> list:
             mult, t = mult * copies, el.content
         for rule in rules:
             groups: dict = {}
-            for bindings, count in level_matches(rule.lhs, content):
+            for bindings, consumed, count in level_matches(rule.lhs, content):
+                bindings[rule.lhs.residue] = content.subtract(consumed)
                 outcome = apply_subst(rule.rhs, bindings)
                 groups[outcome] = groups.get(outcome, 0) + count
             for outcome, n in groups.items():

@@ -215,19 +215,19 @@ def test_bag_operations():
 def test_count_atom_scopes():
     t = parse_term("a (m p | a b (m | a a)) (n | a m)")
     a, m = Atom("a"), Atom("m")
-    assert count_atom(t, a, Scope.top()) == 1
-    assert count_atom(t, a, Scope.anywhere()) == 5
+    assert count_atom(t, a, Scope("top")) == 1
+    assert count_atom(t, a, Scope("anywhere")) == 5
     # wraps are not counted outside the on-wrap scope
-    assert count_atom(t, m, Scope.anywhere()) == 1
-    assert count_atom(t, a, Scope.inside(m)) == 3
-    assert count_atom(t, a, Scope.inside(Atom("n"))) == 1
-    assert count_atom(t, m, Scope.on_wrap()) == 2
-    assert count_atom(t, m, Scope.on_wrap(Atom("p"))) == 1
-    assert count_atom(t, Atom("p"), Scope.on_wrap(m)) == 1
-    assert count_atom(t, a, Scope.on_wrap(Atom("n"))) == 0
+    assert count_atom(t, m, Scope("anywhere")) == 1
+    assert count_atom(t, a, Scope("inside", m)) == 3
+    assert count_atom(t, a, Scope("inside", Atom("n"))) == 1
+    assert count_atom(t, m, Scope("on-wrap")) == 2
+    assert count_atom(t, m, Scope("on-wrap", Atom("p"))) == 1
+    assert count_atom(t, Atom("p"), Scope("on-wrap", m)) == 1
+    assert count_atom(t, a, Scope("on-wrap", Atom("n"))) == 0
 
 
 def test_count_atom_weights_congruent_copies():
     t = parse_term("(m | a a) (m | a a) (m | a a)")
-    assert count_atom(t, Atom("a"), Scope.inside(Atom("m"))) == 6
-    assert count_atom(t, Atom("m"), Scope.on_wrap()) == 3
+    assert count_atom(t, Atom("a"), Scope("inside", Atom("m"))) == 6
+    assert count_atom(t, Atom("m"), Scope("on-wrap")) == 3
