@@ -2,18 +2,21 @@
 
 Each event consumes exactly two uniform draws, time first, selection
 second.  Transitions are kept separate per (rule, context, outcome) in a
-deterministic pre-order; congruent sibling contexts are represented once
-with their copy count folded into n, and a context's rate is its copy
-count times the rate law evaluated on one copy.  The enabled transitions
-form a tree of level nodes cached by level content, each holding its rated
-local transitions and its subtree total, so after an event only the nodes
-on the rewritten path are built and nothing else is re-rated; selection
-descends the tree by the totals.  A local transition holds its outcome as
-an unbuilt delta (matching.Outcome), grouped by signed delta and rated from
-it; the outcome term is built only when a transition is selected or
-listed, and the node's Outcome keeps it for every later store that reaches
-the node.  A config flag cross-checks every store against an uncached
-recomputation.
+deterministic pre-order, and under an n-linear rate law (see rates) per
+match class: one outcome may then be several transitions whose rates sum
+to the law on the outcome's total n, which leaves every generator row
+unchanged.  Congruent sibling contexts are represented once with their
+copy count folded into n, and a context's rate is its copy count times the
+rate law evaluated on one copy.  The enabled transitions form a tree of
+level nodes cached by level content, each holding its rated local
+transitions and its subtree total, so after an event only the nodes on the
+rewritten path are built and nothing else is re-rated; selection descends
+the tree by the totals.  A local transition holds its outcome unbuilt
+(matching.Outcome): a match's bindings under an n-linear law, otherwise a
+delta grouped by its signed value and rated from it.  The outcome term is
+built only when a transition is selected or listed, and the node's Outcome
+keeps it for every later store that reaches the node.  A config flag
+cross-checks every store against an uncached recomputation.
 """
 from __future__ import annotations
 
@@ -36,6 +39,9 @@ class Transition:
 
     multiplicity counts the context's congruent copies, and n and rate
     already contain it: each is multiplicity times its value on one copy.
+    On one copy, n counts the instantiations of one match class under an
+    n-linear law, so several transitions may share an outcome; under any
+    other law it counts every instantiation giving outcome_local.
     Applying the transition yields replace_at(state, path, outcome_local).
     """
 
@@ -83,8 +89,9 @@ class SimConfig:
 class Trajectory:
     """Sampled counts on a fixed time grid (zero-order hold between events).
 
-    The first row is at t = 0 and times increase strictly.  status is one
-    of horizon-reached, deadlock, event-cap, error.
+    The first row is at t = 0 and times increase strictly, on multiples of
+    sample_dt up to t_max or, without t_max, up to the time the run ends.
+    status is one of horizon-reached, deadlock, event-cap, error.
     """
 
     times: tuple
@@ -113,10 +120,11 @@ class SimulationError(CwcError):
 class _Node:
     """The rated transitions of one level content and all inside it, a pure
     function of the content: local holds (rule_index, outcome, n_local,
-    rate_local > 0) in match order, outcome a matching.Outcome that builds
-    and keeps its term on first use; children (element_index, copies, node)
-    for each enabled subtree, total the summed rate of one copy and count
-    its transitions."""
+    rate_local > 0) in match order, one per match class under an n-linear
+    law and one per outcome otherwise, outcome a matching.Outcome that
+    builds and keeps its term on first use; children (element_index,
+    copies, node) for each enabled subtree, total the summed rate of one
+    copy and count its transitions."""
 
     __slots__ = ("local", "children", "total", "count")
 
@@ -274,11 +282,10 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     observables = tuple(getattr(model, "observables", ()) or ())
     rng = Random(derive_seed(cfg.seed, replicate))
 
-    if cfg.t_max is not None:
-        npoints = int(cfg.t_max / cfg.sample_dt + 1e-9)
-        grid = [i * cfg.sample_dt for i in range(npoints + 1)]
-    else:
-        grid = [0.0]
+    dt = cfg.sample_dt
+    # index of the last grid point; with only an event cap the grid runs on
+    # to the time the run ends
+    last = int(cfg.t_max / dt + 1e-9) if cfg.t_max is not None else inf
 
     cache: dict = {}
     state = model.init
@@ -294,7 +301,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
 
     def fill(upto_inclusive: float, s: Term):
         nonlocal gi
-        while gi < len(grid) and grid[gi] <= upto_inclusive:
+        while gi <= last and gi * dt <= upto_inclusive:
             rows.append(measure(s))
             gi += 1
 
@@ -311,7 +318,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
 
     def trajectory(status: str) -> Trajectory:
         return Trajectory(
-            times=tuple(grid[: len(rows)]),
+            times=tuple(i * dt for i in range(len(rows))),
             samples=tuple(rows),
             observable_names=tuple(o.name for o in observables),
             status=status,
@@ -327,18 +334,16 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
         transitions = cross_checked(state, TransitionStore(state, rules, cache))
         while True:
             if not transitions:
-                fill(grid[-1], state)
+                fill(last * dt if cfg.t_max is not None else t, state)
                 return trajectory("deadlock")
-            dt, chosen, next_state = step(state, transitions, rng)
-            t_new = t + dt
-            horizon = cfg.t_max is not None and t_new > cfg.t_max
-            limit = t_new if not horizon else grid[-1]
-            while gi < len(grid) and grid[gi] < limit:
+            wait, chosen, next_state = step(state, transitions, rng)
+            t_new = t + wait
+            if cfg.t_max is not None and t_new > cfg.t_max:
+                fill(last * dt, state)
+                return trajectory("horizon-reached")
+            while gi <= last and gi * dt < t_new:
                 rows.append(measure(state))
                 gi += 1
-            if horizon:
-                fill(grid[-1], state)
-                return trajectory("horizon-reached")
             _check_limits(next_state, cfg, chosen.rule_id, chosen.path, t_new)
             transitions = cross_checked(
                 next_state, incremental_retransitions(transitions, next_state, rules, cache)

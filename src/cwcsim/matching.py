@@ -17,11 +17,19 @@ gives each match as its bindings, the (element, count) pairs it consumes
 and its count; the level's own residue stays unbound, while every slot
 level inside binds its residue to what its match leaves there.  The
 rule's produced part (`Rule.produced`) is instantiated with the bindings;
-the outcome is content - consumed + produced.  For one content, two
-matches give the same outcome exactly when their signed deltas produced -
-consumed are equal, so grouping by the signed delta counts the
-instantiations per outcome.  An `Outcome` answers count_r from its delta
-and builds its term only when asked, once.
+the outcome is content - consumed + produced.
+
+How matches become outcomes depends on the rate law.  Under an n-linear
+law (`rates` module docstring) the summed rate into each outcome does not
+depend on how its matches are split, so each match is one entry: it keeps
+its bindings and instantiates its produced part only when its term is
+asked for, which the engine does only for the transition that fires.
+Under any other law the produced part of every match is instantiated and
+matches are grouped by their signed delta produced - consumed: for one
+content, two matches give the same outcome exactly when those deltas are
+equal, so the group counts the instantiations per outcome.  Either way an
+`Outcome` answers count_r from its delta and builds its term once, on
+first use; outcome_terms merges the entries per built term.
 
 Nothing here enumerates contexts: the engine's propensity tree and
 `cwcsim count` each walk a state's levels themselves.
@@ -116,18 +124,31 @@ def _index_of(content: Term, element) -> int:
 
 class Outcome:
     """One local outcome of a rule at a level content, kept as the delta
-    content - consumed + produced, both canonical (element, count) pairs."""
+    content - consumed + produced, both canonical (element, count) pairs.
+    While produced is None, match holds (rule, bindings) and the delta is
+    instantiated on first use.  Once the term is built the delta and the
+    bindings are dropped."""
 
-    __slots__ = ("content", "consumed", "produced", "_term")
+    __slots__ = ("content", "consumed", "produced", "match", "_term")
 
-    def __init__(self, content: Term, consumed: tuple, produced: tuple):
+    def __init__(self, content: Term, consumed: tuple, produced=None, match=None):
         self.content = content
         self.consumed = consumed
         self.produced = produced
+        self.match = match
         self._term = None
 
+    def _instantiate(self):
+        rule, bindings = self.match
+        self.consumed, self.produced = _delta(rule, self.content, bindings, self.consumed)
+        self.match = None
+
     def count_atom_top(self, atom) -> int:
-        """count_r of the outcome, read off the delta."""
+        """count_r of the outcome, read off the delta or the built term."""
+        if self._term is not None:
+            return self._term.count_atom_top(atom)
+        if self.produced is None:
+            self._instantiate()
         n = self.content.count_atom_top(atom)
         n += sum(k for el, k in self.produced if el == atom)
         return n - sum(k for el, k in self.consumed if el == atom)
@@ -135,23 +156,37 @@ class Outcome:
     def term(self) -> Term:
         """The outcome term, built on the first call and kept."""
         if self._term is None:
+            if self.produced is None:
+                self._instantiate()
             rest = self.content.subtract(self.consumed)
             self._term = Term._of(_canonical(self.produced + rest.items))
+            self.consumed = self.produced = None
         return self._term
 
 
+def _delta(rule: Rule, content: Term, bindings: dict, consumed: tuple) -> tuple:
+    """(consumed, produced) pairs of one match."""
+    if rule.produced is not None:
+        return consumed, apply_subst(rule.produced, bindings).items
+    # the residue is dropped, repeated or nested on the right
+    bindings[rule.lhs.residue] = content.subtract(consumed)
+    return content.items, apply_subst(rule.rhs, bindings).items
+
+
 def level_outcomes(rule: Rule, content: Term) -> list:
-    """Distinct local outcomes as unbuilt deltas, in match order, with their
-    total instantiation counts; matches are grouped by their signed delta
-    produced - consumed, zero entries dropped.  Returns [(Outcome, n)]."""
+    """Local outcomes as unbuilt deltas, in match order, with their
+    instantiation counts.  Under an n-linear law, one entry per match;
+    otherwise matches are grouped by their signed delta produced - consumed,
+    zero entries dropped.  Returns [(Outcome, n)]."""
+    matches = level_matches(rule.lhs, content)
+    if rule.rate.n_linear:
+        return [
+            (Outcome(content, consumed, match=(rule, bindings)), count)
+            for bindings, consumed, count in matches
+        ]
     groups: dict = {}
-    for bindings, consumed, count in level_matches(rule.lhs, content):
-        if rule.produced is not None:
-            produced = apply_subst(rule.produced, bindings).items
-        else:  # the residue is dropped, repeated or nested on the right
-            bindings[rule.lhs.residue] = content.subtract(consumed)
-            produced = apply_subst(rule.rhs, bindings).items
-            consumed = content.items
+    for bindings, consumed, count in matches:
+        consumed, produced = _delta(rule, content, bindings, consumed)
         signed = dict(produced)
         for el, n in consumed:
             signed[el] = signed.get(el, 0) - n

@@ -4,11 +4,17 @@ A mass-action rate multiplies its constant by the instantiation count n.
 A function rate is a small closed expression over numeric literals, the
 four arithmetic operators, n, and top-level atom counts of the matched
 content (count_l) or the outcome (count_r).
+
+A law is n-linear when it is n * g(content): mass action, or a function
+rate whose top node is n * e or e * n with neither n nor count_r in e.
+Splitting the matches of one outcome over several transitions then leaves
+the summed rate into each target unchanged, so the engine may rate such a
+law per match without grouping matches by outcome.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CwcError
 from .terms import Atom, Term
@@ -25,6 +31,7 @@ class MassAction:
     """Rate k * n; k is a nonnegative constant with units 1/time."""
 
     k: float
+    n_linear = True  # a class constant, not a field
 
     def __post_init__(self):
         if not math.isfinite(self.k) or self.k < 0:
@@ -103,9 +110,25 @@ class BinOp(RateExpr):
         return f"({self.left} {self.op} {self.right})"
 
 
+def _free_of_n(e: RateExpr) -> bool:
+    """True when e reads neither n nor count_r."""
+    if isinstance(e, BinOp):
+        return _free_of_n(e.left) and _free_of_n(e.right)
+    return not isinstance(e, (MatchCount, CountR))
+
+
 @dataclass(frozen=True)
 class FnRate:
     expr: RateExpr
+    n_linear: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        e = self.expr
+        linear = isinstance(e, BinOp) and e.op == "*" and (
+            isinstance(e.left, MatchCount) and _free_of_n(e.right)
+            or isinstance(e.right, MatchCount) and _free_of_n(e.left)
+        )
+        object.__setattr__(self, "n_linear", linear)
 
     def __str__(self):
         return f"fn({self.expr})"

@@ -127,11 +127,29 @@ def test_event_cap_truncates_the_grid():
     m = model_of("init a\nrule flip: a => a @ 1\n")
     traj = run(m, SimConfig(max_events=5))
     assert traj.status == "event-cap" and traj.events == 5
-    assert traj.times == (0.0,) and len(traj.samples) == 1
+    assert traj.times == tuple(float(i) for i in range(int(traj.final_time) + 1))
+    assert len(traj.samples) == len(traj.times)
 
     traj = run(m, SimConfig(t_max=1000.0, max_events=3, sample_dt=1000.0))
     assert traj.status == "event-cap"
     assert traj.times == (0.0,)  # no grid point beyond t=0 reached yet
+
+
+@pytest.mark.parametrize("init, rule, cap, status", [
+    ("a", "flip: a => a", 4, "event-cap"),
+    ("a * 4", "death: a => *", 10, "deadlock"),
+])
+def test_event_cap_alone_samples_up_to_the_last_event(init, rule, cap, status):
+    m = model_of(f"init {init}\nrule {rule} @ 1\nobserve a: a in top\n")
+    traj = run(m, SimConfig(max_events=cap, sample_dt=0.25, seed=5, log_events=True))
+    assert traj.status == status and traj.events == 4
+    last = traj.event_log[-1][0]
+    assert traj.final_time == last > 0.5
+    assert traj.times == tuple(i * 0.25 for i in range(int(last / 0.25) + 1))
+    start = m.init.size
+    for gt, row in zip(traj.times, traj.samples):
+        deaths = sum(1 for te, r, _ in traj.event_log if te <= gt and r == "death")
+        assert row == (start - deaths,)
 
 
 def test_sampling_is_zero_order_hold():
