@@ -237,7 +237,8 @@ def cmd_run(args, parser) -> int:
         trajectories = run_replicates(model, cfg, jobs=jobs)
     except SimulationError as e:
         where = format_path(e.path) if e.path is not None else "?"
-        print(f"error: {e} (rule={e.rule_id} path={where})", file=sys.stderr)
+        when = e.time if e.time is not None else "?"
+        print(f"error: {e} (rule={e.rule_id} path={where} time={when})", file=sys.stderr)
         return 3
     wall = time.perf_counter() - started
 

@@ -17,6 +17,16 @@ delta grouped by its signed value and rated from it.  The outcome term is
 built only when a transition is selected or listed, and the node's Outcome
 keeps it for every later store that reaches the node.  A config flag
 cross-checks every store against an uncached recomputation.
+
+Nodes and matching's slot rows share one per-run memo (Memo): nodes keyed
+by level content, slot rows by (id(slot), element).  An entry weighs the
+size its key's content or element caches, and MEMO_BUDGET bounds the
+summed weight over two generations, so a diverging run keeps a bounded
+memo.  Eviction is safe: a store holds its nodes directly, every node its
+children and Outcomes, and an evicted entry is rebuilt equal from its key
+alone.  The memo lives for one run, which keeps the rules its slot keys
+name alive; it is not shared across replicates, because a shared memo
+cost more in memory and garbage collection than its hits saved.
 """
 from __future__ import annotations
 
@@ -135,14 +145,69 @@ class _Node:
         self.count = len(local) + sum(ch.count for _, _, ch in children)
 
 
-def _node(content: Term, rules: tuple, cache: dict, path: Path) -> _Node:
-    """The node of content, built on a cache miss; path is where the content
-    was met, for error messages only."""
-    node = cache.get(content)
+# The summed weight one run's Memo may keep.  On diverging 16-cell pho runs
+# and 64-cell macrophage crowds, smaller budgets re-rate recurring crowd
+# states, and larger ones add memory without speeding pho up.
+MEMO_BUDGET = 250_000
+
+
+class Memo:
+    """One run's memo of level nodes (keyed by level content) and slot rows
+    (keyed by (id(slot), element), see matching._slot_rows), bounded by one
+    budget on their summed weight.  An entry weighs the size its key's
+    content or element caches (_weight).  Two generations: an entry goes into the
+    young one, which becomes the old one, dropping the previous old one,
+    when it would pass half the budget; a hit in the old generation moves
+    the entry back into the young one.  An entry heavier than half the
+    budget is not kept.  get and item assignment are those of a dict, so a
+    plain dict serves as an unbounded memo."""
+
+    __slots__ = ("budget", "young", "old", "young_weight", "old_weight")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.young: dict = {}
+        self.old: dict = {}
+        self.young_weight = self.old_weight = 0
+
+    @property
+    def weight(self) -> int:
+        return self.young_weight + self.old_weight
+
+    def get(self, key):
+        value = self.young.get(key)
+        if value is None:
+            value = self.old.pop(key, None)
+            if value is not None:
+                self.old_weight -= _weight(key)
+                self[key] = value
+        return value
+
+    def __setitem__(self, key, value):
+        w = _weight(key)
+        half = self.budget // 2
+        if w > half:
+            return
+        if self.young_weight + w > half:
+            self.old, self.young = self.young, {}
+            self.old_weight, self.young_weight = self.young_weight, 0
+        self.young[key] = value
+        self.young_weight += w
+
+
+def _weight(key) -> int:
+    return key.size if type(key) is Term else key[1].size
+
+
+def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
+    """The node of content, built on a memo miss; path is where the content
+    was met, for error messages only.  A node holds its children directly,
+    so evicting a node from the memo never invalidates its parents."""
+    node = memo.get(content)
     if node is None:
         local = []
         for i, rule in enumerate(rules):
-            for outcome, n_local in level_outcomes(rule, content):
+            for outcome, n_local in level_outcomes(rule, content, memo):
                 try:
                     rate = rate_of(rule.rate, content, outcome, n_local)
                 except RateEvaluationError as e:
@@ -156,25 +221,25 @@ def _node(content: Term, rules: tuple, cache: dict, path: Path) -> _Node:
                     local.append((i, outcome, n_local, rate))
         children = []
         for i, el, copies in content.compartments():
-            child = _node(el.content, rules, cache, path + ((i, 0),))
+            child = _node(el.content, rules, memo, path + ((i, 0),))
             if child.count:
                 children.append((i, copies, child))
-        node = cache[content] = _Node(tuple(local), tuple(children))
+        node = memo[content] = _Node(tuple(local), tuple(children))
     return node
 
 
 class TransitionStore:
-    """The enabled transitions of one state as a tree of level nodes; cache
-    maps level contents to nodes and may serve every store of one rules
-    tuple.  len() counts the transitions and total sums their rates.
-    Iteration yields them in canonical pre-order from a list built once and
+    """The enabled transitions of one state as a tree of level nodes; memo
+    (a Memo or a dict) maps level contents to nodes and slots to their rows,
+    and may serve every store of one rules tuple.  len() counts the
+    transitions and total sums their rates.  Iteration yields them in canonical pre-order from a list built once and
     kept, so one store always yields the same objects."""
 
     __slots__ = ("rules", "root", "total", "_list")
 
-    def __init__(self, state: Term, rules, cache: Optional[dict] = None):
+    def __init__(self, state: Term, rules, memo=None):
         self.rules = tuple(rules)
-        self.root = _node(state, self.rules, {} if cache is None else cache, ())
+        self.root = _node(state, self.rules, {} if memo is None else memo, ())
         self.total = self.root.total
         self._list = None
 
@@ -222,18 +287,18 @@ class TransitionStore:
 
 
 def enumerate_transitions(state: Term, rules) -> list:
-    """Full recomputation with a fresh cache: every enabled transition in
+    """Full recomputation with a fresh memo: every enabled transition in
     canonical pre-order."""
     return list(TransitionStore(state, rules))
 
 
 def incremental_retransitions(
-    prev: TransitionStore, next_state: Term, rules, cache: Optional[dict] = None
+    prev: TransitionStore, next_state: Term, rules, memo=None
 ) -> TransitionStore:
     """The store after one event, given the store before it: every subtree
-    the event left unchanged is a cache hit, so only the nodes on the
+    the event left unchanged is a memo hit, so only the nodes on the
     rewritten path are built.  prev is not read."""
-    return TransitionStore(next_state, rules, cache)
+    return TransitionStore(next_state, rules, memo)
 
 
 def step(state: Term, transitions: TransitionStore, rng: Random):
@@ -287,7 +352,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     # to the time the run ends
     last = int(cfg.t_max / dt + 1e-9) if cfg.t_max is not None else inf
 
-    cache: dict = {}
+    memo = Memo(MEMO_BUDGET)
     state = model.init
     rows: list = []
     gi = 0
@@ -329,9 +394,10 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
             event_log=tuple(log_rows) if log_rows is not None else None,
         )
 
+    t_new = 0.0  # the time of the state being checked and rated
     try:
         _check_limits(state, cfg, None, None, 0.0)
-        transitions = cross_checked(state, TransitionStore(state, rules, cache))
+        transitions = cross_checked(state, TransitionStore(state, rules, memo))
         while True:
             if not transitions:
                 fill(last * dt if cfg.t_max is not None else t, state)
@@ -346,7 +412,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
                 gi += 1
             _check_limits(next_state, cfg, chosen.rule_id, chosen.path, t_new)
             transitions = cross_checked(
-                next_state, incremental_retransitions(transitions, next_state, rules, cache)
+                next_state, incremental_retransitions(transitions, next_state, rules, memo)
             )
             state = next_state
             t = t_new
@@ -357,6 +423,8 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
                 fill(t, state)
                 return trajectory("event-cap")
     except SimulationError as e:
+        if e.time is None:  # raised while rating a store
+            e.time = t_new
         e.trajectory = trajectory("error")
         raise
 

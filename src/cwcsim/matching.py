@@ -31,6 +31,17 @@ equal, so the group counts the instantiations per outcome.  Either way an
 `Outcome` answers count_r from its delta and builds its term once, on
 first use; outcome_terms merges the entries per built term.
 
+A compartment slot's matches on one compartment element -- bindings with
+the slot level's residue and wrap variable, count and whether they carry
+atoms -- depend on the slot and the element only, not on the level around
+them.  level_matches takes them as rows from a memo keyed by (id(slot),
+element), so a level re-matches only the compartments it has not met
+before; the ground_need filter, which depends on the level, stays per
+call.  The engine passes its per-run memo; without one a throwaway dict
+serves a single call.  Rows come back in content order, so match order
+does not depend on the memo, and every caller copies a row's bindings
+before writing into them.
+
 Nothing here enumerates contexts: the engine's propensity tree and
 `cwcsim count` each walk a state's levels themselves.
 """
@@ -43,12 +54,14 @@ from .pattern import LevelPattern, Rule, apply_subst
 from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
 
 
-def level_matches(lp: LevelPattern, content: Term) -> list:
+def level_matches(lp: LevelPattern, content: Term, memo=None) -> list:
     """All distinct substitutions of lp against content, each with the number
     of labeled instantiations it stands for.  Returns [(bindings, consumed,
     count)]: consumed lists the (element, count) pairs the match removes from
     content, in content order.  lp's own residue is left unbound; each slot
-    level inside binds its residue to what its match leaves there."""
+    level inside binds its residue to what its match leaves there.  memo
+    keeps slot rows (`_slot_rows`); without one a throwaway dict serves this
+    call."""
     factor = 1
     for a, j in lp.atoms:
         m = content.count_atom_top(a)
@@ -63,27 +76,15 @@ def level_matches(lp: LevelPattern, content: Term) -> list:
             return []
         ground_need[idx] = ground_need.get(idx, 0) + j
 
+    if memo is None:
+        memo = {}
     # Per slot, every (index, bindings, count, labelful) it can take.
     candidates = []
     for slot in lp.slots:
         found = []
         for idx, el, cnt in content.compartments():
-            if ground_need.get(idx, 0) >= cnt or not bag_contains(slot.wrap_atoms, el.wrap):
-                continue
-            x_val = bag_diff(el.wrap, slot.wrap_atoms)
-            wrap_choices = 1
-            for a, j in slot.wrap_atoms:
-                wrap_choices *= comb(bag_count(el.wrap, a), j)
-            for bindings, consumed, count in level_matches(slot.content, el.content):
-                bindings[slot.content.residue] = (
-                    el.content.subtract(consumed) if consumed else el.content
-                )
-                bindings[slot.wrap_var] = x_val
-                labelful = any(
-                    v.has_atoms if isinstance(v, Term) else bool(v)
-                    for v in bindings.values()
-                )
-                found.append((idx, bindings, wrap_choices * count, labelful))
+            if ground_need.get(idx, 0) < cnt:
+                found.extend((idx,) + row for row in _slot_rows(slot, el, memo))
         if not found:
             return []
         candidates.append(found)
@@ -112,6 +113,35 @@ def level_matches(lp: LevelPattern, content: Term) -> list:
                 bindings.update(b)
             results.append((bindings, tuple(consumed), total))
     return results
+
+
+def _slot_rows(slot, el, memo) -> list:
+    """The rows of one compartment slot on one compartment element, as
+    [(bindings, count, labelful)], kept in memo under (id(slot), el).  The
+    entry holds the slot itself, so a different slot with a reused id
+    recomputes.  Callers copy the bindings and never write into them."""
+    key = (id(slot), el)
+    entry = memo.get(key)
+    if entry is not None and entry[0] is slot:
+        return entry[1]
+    rows = []
+    if bag_contains(slot.wrap_atoms, el.wrap):
+        x_val = bag_diff(el.wrap, slot.wrap_atoms)
+        wrap_choices = 1
+        for a, j in slot.wrap_atoms:
+            wrap_choices *= comb(bag_count(el.wrap, a), j)
+        for bindings, consumed, count in level_matches(slot.content, el.content, memo):
+            bindings[slot.content.residue] = (
+                el.content.subtract(consumed) if consumed else el.content
+            )
+            bindings[slot.wrap_var] = x_val
+            labelful = any(
+                v.has_atoms if isinstance(v, Term) else bool(v)
+                for v in bindings.values()
+            )
+            rows.append((bindings, wrap_choices * count, labelful))
+    memo[key] = (slot, rows)
+    return rows
 
 
 def _index_of(content: Term, element) -> int:
@@ -173,12 +203,13 @@ def _delta(rule: Rule, content: Term, bindings: dict, consumed: tuple) -> tuple:
     return content.items, apply_subst(rule.rhs, bindings).items
 
 
-def level_outcomes(rule: Rule, content: Term) -> list:
+def level_outcomes(rule: Rule, content: Term, memo=None) -> list:
     """Local outcomes as unbuilt deltas, in match order, with their
     instantiation counts.  Under an n-linear law, one entry per match;
     otherwise matches are grouped by their signed delta produced - consumed,
-    zero entries dropped.  Returns [(Outcome, n)]."""
-    matches = level_matches(rule.lhs, content)
+    zero entries dropped.  memo is passed to level_matches.  Returns
+    [(Outcome, n)]."""
+    matches = level_matches(rule.lhs, content, memo)
     if rule.rate.n_linear:
         return [
             (Outcome(content, consumed, match=(rule, bindings)), count)

@@ -221,7 +221,7 @@ def test_runtime_error_exit_code(write, tmp_path, capsys):
     path = write("init a\nrule r: a => a @ fn(1 / count_l(b))\ntmax 5\n")
     assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "rule=r" in err and "division" in err
+    assert "rule=r" in err and "division" in err and "time=0.0" in err
 
 
 def test_missing_horizon_is_config_error(write, tmp_path, capsys):

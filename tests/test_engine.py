@@ -1,6 +1,7 @@
 """Simulation engine: draw discipline, sampling grid, statuses, incremental
 transition maintenance."""
 import math
+from random import Random
 
 import pytest
 
@@ -280,12 +281,16 @@ def test_rate_error_after_a_split_carries_rule_and_trajectory():
         "rule s: a => b @ 1\n"
         "rule r: b => c @ fn(1 / count_l(a))\n"
     )
+    cfg = SimConfig(max_events=10)
     with pytest.raises(SimulationError) as exc:
-        run(m, SimConfig(max_events=10))
+        run(m, cfg)
     e = exc.value
     assert e.rule_id == "r"
     assert e.trajectory.status == "error"
     assert e.trajectory.events == 0 and e.trajectory.final_state == m.init
+    # the error carries the time of the state it rated: the first event's
+    first = step(m.init, TransitionStore(m.init, m.rules), Random(derive_seed(cfg.seed, 0)))
+    assert e.time == first[0] > 0.0
 
 
 def test_rate_error_in_the_initial_state_carries_trajectory():

@@ -1,0 +1,130 @@
+"""The per-run memo: level nodes and slot rows under one weight budget.
+
+The memo bounds what a run keeps (defect 4: the node cache grew with every
+state a diverging run visited), it may drop any entry at any time without
+changing a trajectory, and the slot rows it serves equal a fresh
+recomputation however the outcomes built from them were used."""
+import dataclasses
+import importlib.resources
+import time
+
+import pytest
+
+from cwcsim import Model, SimConfig, parse_model, run
+from cwcsim import engine
+from cwcsim.engine import Memo, TransitionStore
+from cwcsim.matching import _slot_rows, level_matches
+from cwcsim.rates import BinOp, FnRate, MatchCount
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
+
+PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
+MACROPHAGE = "(CD31 M | (lyso | lyticEnz) innerM)"
+
+
+def bundled(name: str, init: str) -> Model:
+    text = importlib.resources.files("cwcsim").joinpath(f"models/{name}").read_text()
+    body = text.split("\nrule ", 1)[1]
+    mf = parse_model(f"init {init}\nrule {body}")
+    return Model(mf.init, mf.rules, mf.observables)
+
+
+class Counting(Memo):
+    """A Memo that counts its generation turns."""
+
+    turns = 0
+
+    def __setitem__(self, key, value):
+        young = self.young
+        super().__setitem__(key, value)
+        if self.young is not young:
+            Counting.turns += 1
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    Counting.turns = 0
+    monkeypatch.setattr(engine, "Memo", Counting)
+    return Counting
+
+
+def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, counting):
+    # 16 pho cells soon differ from each other, so almost every state and
+    # cell content the run meets is new: before the bound, every one stayed
+    # in the node cache
+    model = bundled("pho.cwc", "Pi*320 " + " ".join([PHO_CELL] * 16))
+    seen = []
+    rebuild = engine.incremental_retransitions
+
+    def checked(prev, next_state, rules, memo):
+        assert memo.weight <= memo.budget == engine.MEMO_BUDGET
+        assert memo.weight == sum(engine._weight(k) for k in (*memo.young, *memo.old))
+        seen.append(memo.weight)
+        return rebuild(prev, next_state, rules, memo)
+
+    monkeypatch.setattr(engine, "incremental_retransitions", checked)
+    started = time.perf_counter()
+    traj = run(model, SimConfig(max_events=2000, seed=5))
+    assert traj.events == len(seen) == 2000
+    assert counting.turns >= 4  # the budget was reached, more than once
+    assert time.perf_counter() - started < 10.0
+
+
+EVICTING = [
+    ("pho.cwc", "Pi*80 " + " ".join([PHO_CELL] * 4), 1.0),
+    ("macrophage.cwc", " ".join([MACROPHAGE] * 4 + ["(CD31 V N | innerL)"] * 3
+                                + ["(CD31 A N | innerA)"] * 3), 20.0),
+]
+
+
+@pytest.mark.parametrize("name, init, sample_dt", EVICTING)
+def test_eviction_leaves_the_trajectory_unchanged(monkeypatch, counting, name, init, sample_dt):
+    """Eviction is safe because a store holds its nodes directly: a node
+    keeps its children and every Outcome it rated, so a store being read
+    never goes back to the memo, and an evicted node or slot row is rebuilt
+    equal to what it was, from the content alone."""
+    model = bundled(name, init)
+    cfg = SimConfig(max_events=300, seed=11, sample_dt=sample_dt, log_events=True)
+    kept = run(model, cfg)
+    budget = 6 * model.init.size  # each generation holds about three states
+    monkeypatch.setattr(engine, "MEMO_BUDGET", budget)
+    Counting.turns = 0
+    evicted = run(model, cfg)
+    assert Counting.turns >= kept.events // 10
+    assert kept.events == evicted.events == 300
+    for field in ("times", "samples", "final_state", "status", "event_log"):
+        assert getattr(evicted, field) == getattr(kept, field), field
+    checked = run(model, SimConfig(max_events=150, seed=11, sample_dt=sample_dt, cross_check=True))
+    assert checked.cross_check_failures == 0 and checked.events == 150
+
+
+def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
+    """level_matches with a memo warmed on other contents gives what it gives
+    without one, and building every outcome of a store that shares the memo
+    (which writes residues into each match's bindings) leaves every memoised
+    row equal to a fresh recomputation."""
+    n_linear, other = 0, 0
+    for trial in range(60):
+        rules = tuple(gen_rule(rng, f"r{i}") for i in range(3))
+        if trial % 2:
+            law = FnRate(BinOp("*", MatchCount(), MatchCount()))
+            rules = tuple(dataclasses.replace(r, rate=law) for r in rules)
+        memo: dict = {}
+        for rule in rules:  # warm the memo on other contents
+            for _ in range(2):
+                for _, content in levels(instantiate_lhs(rng, rule)):
+                    level_matches(rule.lhs, content, memo)
+        state = instantiate_lhs(rng, rules[trial % 3]).union(gen_term(rng, depth=2, atom_budget=4))
+        for rule in rules:
+            for _, content in levels(state):
+                assert level_matches(rule.lhs, content, memo) == level_matches(rule.lhs, content)
+        store = TransitionStore(state, rules, memo)
+        built = list(store)  # every outcome of the store, built
+        assert built == list(TransitionStore(state, rules))
+        rows = [(k, v) for k, v in memo.items() if type(k) is tuple]
+        for (_, el), (slot, got) in rows:
+            assert got == _slot_rows(slot, el, {})
+        if trial % 2:
+            other += len(rows)
+        else:
+            n_linear += len(rows)
+    assert n_linear > 50 and other > 50  # both outcome shapes met memoised rows
