@@ -13,34 +13,48 @@ transitions and its subtree total, so after an event only the nodes on the
 rewritten path are built and nothing else is re-rated; selection descends
 the tree by the totals.  A local transition holds its outcome unbuilt
 (matching.Outcome): a match's bindings under an n-linear law, otherwise a
-delta grouped by its signed value and rated from it.  The outcome term is
-built only when a transition is selected or listed, and the node's Outcome
-keeps it for every later store that reaches the node.  A config flag
-cross-checks every store against an uncached recomputation.
+delta grouped by its signed value and rated from it.  An n-linear rule
+whose matches can be counted without enumerating them (matching.Counted:
+no ground compartment, no compartment class two slots can share) is one
+local entry, rated by one rate_of call on a single instantiation times
+the summed n; selection descends its slot weights in match order and
+builds only the match that fires, rated its n times that unit rate, as
+rate_of would rate it.  A rule with one match is that match's Outcome.
+Listing expands every Counted into its match classes once per node, so a
+store still lists, and len() counts, one transition per match class.  An
+outcome term is built only when a transition is selected or listed, and
+the node keeps every Outcome it built for every later store that reaches
+it.  A config flag cross-checks every store against an uncached
+recomputation.
 
 Nodes and matching's slot rows share one per-run memo (Memo): nodes keyed
-by level content, slot rows by (id(slot), element).  An entry weighs the
-size its key's content or element caches, and MEMO_BUDGET bounds the
-summed weight over two generations, so a diverging run keeps a bounded
-memo.  Eviction is safe: a store holds its nodes directly, every node its
+by level content, nested slot rows by (id(slot), element, 1) and the
+element index of top-level slot rows by (id(rules), element, number of
+top-level slots).  An entry weighs the size its key's content or element
+caches, times the number of row sets a row key names, so the element
+index weighs what the per-slot rows it replaced weighed; MEMO_BUDGET
+bounds the summed weight over two generations, so a diverging run keeps a
+bounded memo.  Eviction is safe: a store holds its nodes directly, every node its
 children and Outcomes, and an evicted entry is rebuilt equal from its key
 alone.  The memo lives for one run, which keeps the rules its slot keys
 name alive; it is not shared across replicates, because a shared memo
-cost more in memory and garbage collection than its hits saved.
+cost more in memory and garbage collection than its hits saved.  A
+finished run's final state goes through terms.shared, so trajectories
+kept side by side share their equal subterms.
 """
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum, inf, isclose, log
 from random import Random
 from typing import Optional
 
 from .errors import CwcError
-from .matching import level_outcomes
+from .matching import Counted, counted_matches, level_outcomes, slot_candidates
 from .rates import RateEvaluationError, rate_of
-from .terms import Path, Term, count_atom, replace_at
+from .terms import Path, Term, count_atom, replace_at, shared
 
 
 @dataclass(frozen=True)
@@ -130,11 +144,12 @@ class SimulationError(CwcError):
 class _Node:
     """The rated transitions of one level content and all inside it, a pure
     function of the content: local holds (rule_index, outcome, n_local,
-    rate_local > 0) in match order, one per match class under an n-linear
-    law and one per outcome otherwise, outcome a matching.Outcome that
-    builds and keeps its term on first use; children (element_index,
-    copies, node) for each enabled subtree, total the summed rate of one
-    copy and count its transitions."""
+    rate_local > 0) in rule order; outcome is a matching.Counted standing
+    for every match of an n-linear rule it can count, otherwise a
+    matching.Outcome, one per match class under an n-linear law and one per
+    outcome otherwise, which builds and keeps its term on first use;
+    children (element_index, copies, node) for each enabled subtree, total
+    the summed rate of one copy and count its transitions."""
 
     __slots__ = ("local", "children", "total", "count")
 
@@ -142,7 +157,7 @@ class _Node:
         self.local = local
         self.children = children
         self.total = fsum([e[3] for e in local] + [c * ch.total for _, c, ch in children])
-        self.count = len(local) + sum(ch.count for _, _, ch in children)
+        self.count = sum(e[1].count for e in local) + sum(ch.count for _, _, ch in children)
 
 
 # The summed weight one run's Memo may keep.  On diverging 16-cell pho runs
@@ -153,9 +168,10 @@ MEMO_BUDGET = 250_000
 
 class Memo:
     """One run's memo of level nodes (keyed by level content) and slot rows
-    (keyed by (id(slot), element), see matching._slot_rows), bounded by one
-    budget on their summed weight.  An entry weighs the size its key's
-    content or element caches (_weight).  Two generations: an entry goes into the
+    (keyed by (id(owner), element, row sets), see matching._slot_rows and
+    matching._element_rows), bounded by one budget on their summed weight.
+    An entry weighs the size its key's content or element caches, times the
+    row sets of a row key (_weight).  Two generations: an entry goes into the
     young one, which becomes the old one, dropping the previous old one,
     when it would pass half the budget; a hit in the old generation moves
     the entry back into the young one.  An entry heavier than half the
@@ -196,7 +212,7 @@ class Memo:
 
 
 def _weight(key) -> int:
-    return key.size if type(key) is Term else key[1].size
+    return key.size if type(key) is Term else key[1].size * key[2]
 
 
 def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
@@ -205,11 +221,17 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
     so evicting a node from the memo never invalidates its parents."""
     node = memo.get(content)
     if node is None:
+        found = slot_candidates(rules, content, memo)
         local = []
         for i, rule in enumerate(rules):
-            for outcome, n_local in level_outcomes(rule, content, memo):
+            entries = counted_matches(rule, i, content, found)
+            if entries is None:
+                entries = level_outcomes(rule, content, memo)
+            for outcome, n_local in entries:
+                counted = type(outcome) is Counted
                 try:
-                    rate = rate_of(rule.rate, content, outcome, n_local)
+                    # a Counted is rated per instantiation, then times n
+                    rate = rate_of(rule.rate, content, outcome, 1 if counted else n_local)
                 except RateEvaluationError as e:
                     raise SimulationError(
                         f"rule {rule.id} at {path}: {e}",
@@ -217,6 +239,9 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
                         path=path,
                         code=e.code,
                     ) from e
+                if counted:
+                    outcome.unit_rate = rate
+                    rate *= n_local
                 if rate > 0:
                     local.append((i, outcome, n_local, rate))
         children = []
@@ -232,8 +257,9 @@ class TransitionStore:
     """The enabled transitions of one state as a tree of level nodes; memo
     (a Memo or a dict) maps level contents to nodes and slots to their rows,
     and may serve every store of one rules tuple.  len() counts the
-    transitions and total sums their rates.  Iteration yields them in canonical pre-order from a list built once and
-    kept, so one store always yields the same objects."""
+    transitions, one per match class of a counted entry, and total sums
+    their rates.  Iteration yields them in canonical pre-order from a list
+    built once and kept, so one store always yields the same objects."""
 
     __slots__ = ("rules", "root", "total", "_list")
 
@@ -253,26 +279,43 @@ class TransitionStore:
         return iter(self._list)
 
     def _flatten(self, node: _Node, path: Path, mult: int):
-        self._list.extend(self._transition(e, path, mult) for e in node.local)
+        for i, outcome, n_local, rate in node.local:
+            if type(outcome) is Counted:
+                self._list.extend(
+                    self._transition(i, o, n, outcome.unit_rate * n, path, mult)
+                    for o, n in outcome.expand()
+                )
+            else:
+                self._list.append(self._transition(i, outcome, n_local, rate, path, mult))
         for i, copies, child in node.children:
             self._flatten(child, path + ((i, 0),), mult * copies)
 
-    def _transition(self, entry: tuple, path: Path, mult: int) -> Transition:
-        i, outcome, n_local, rate = entry
+    def _transition(self, i, outcome, n_local, rate, path, mult) -> Transition:
         return Transition(
             self.rules[i].id, path, outcome.term(), mult * n_local, mult * rate, mult
         )
 
+    def _selected(self, entry: tuple, offset: float, path: Path, mult: int) -> Transition:
+        """The transition at rate offset within one local entry; a Counted
+        builds only the match the offset falls on."""
+        i, outcome, n_local, rate = entry
+        if type(outcome) is Counted:
+            unit_rate = outcome.unit_rate
+            outcome, n_local = outcome.pick(offset / unit_rate)
+            rate = unit_rate * n_local
+        return self._transition(i, outcome, n_local, rate, path, mult)
+
     def select(self, target: float) -> Transition:
         """The first transition in pre-order whose cumulative rate exceeds
-        target, found by descending the subtree totals; a target at or past
-        total (from rounding) selects the last transition."""
+        target, found by descending the subtree totals and, within a
+        Counted entry, its slot weights; a target at or past total (from
+        rounding) selects the last transition."""
         node, path, mult = self.root, (), 1
         while True:
             for entry in node.local:
                 w = mult * entry[3]
                 if target < w:
-                    return self._transition(entry, path, mult)
+                    return self._selected(entry, target / mult, path, mult)
                 target -= w
             for i, copies, child in node.children:
                 w = mult * copies * child.total
@@ -281,7 +324,7 @@ class TransitionStore:
                 target -= w
             else:
                 if not node.children:
-                    return self._transition(node.local[-1], path, mult)
+                    return self._selected(node.local[-1], inf, path, mult)
                 target = inf  # past the end: keep to the last subtree
             node, path, mult = child, path + ((i, 0),), mult * copies
 
@@ -297,7 +340,9 @@ def incremental_retransitions(
 ) -> TransitionStore:
     """The store after one event, given the store before it: every subtree
     the event left unchanged is a memo hit, so only the nodes on the
-    rewritten path are built.  prev is not read."""
+    rewritten path are built, and each of those looks up the element index
+    once per compartment and rates each countable rule once (module
+    docstring).  prev is not read."""
     return TransitionStore(next_state, rules, memo)
 
 
@@ -387,7 +432,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
             samples=tuple(rows),
             observable_names=tuple(o.name for o in observables),
             status=status,
-            final_state=state,
+            final_state=shared(state),
             final_time=t,
             events=events,
             cross_check_failures=failures,
@@ -440,5 +485,9 @@ def run_replicates(model, cfg: SimConfig, jobs: int = 1) -> list:
     tasks = [(model, cfg, i) for i in range(cfg.replicates)]
     if jobs == 1 or cfg.replicates == 1:
         return [run(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one, tasks))
+    # the fork start method launches every worker at once
+    with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
+        return [
+            replace(tr, final_state=shared(tr.final_state))
+            for tr in pool.map(_run_one, tasks)
+        ]

@@ -34,13 +34,26 @@ first use; outcome_terms merges the entries per built term.
 A compartment slot's matches on one compartment element -- bindings with
 the slot level's residue and wrap variable, count and whether they carry
 atoms -- depend on the slot and the element only, not on the level around
-them.  level_matches takes them as rows from a memo keyed by (id(slot),
-element), so a level re-matches only the compartments it has not met
-before; the ground_need filter, which depends on the level, stays per
-call.  The engine passes its per-run memo; without one a throwaway dict
-serves a single call.  Rows come back in content order, so match order
-does not depend on the memo, and every caller copies a row's bindings
-before writing into them.
+them, so they are memoised as rows.  A nested slot's rows are kept under
+(id(slot), element, 1).  The rows of every top-level slot of a rules tuple
+on one element are kept together under (id(rules), element, number of
+top-level slots), the element index, so a level the engine has not met
+looks each compartment up once (slot_candidates), not once per rule and
+slot; level_matches, which the engine calls only for the rules it cannot
+count, goes through the per-slot rows.  The engine passes its per-run
+memo; without one a throwaway dict serves a single call.  Rows come back
+in content order, so match order does not depend on the memo, and every
+caller copies a row's bindings before writing into them.
+
+Under an n-linear law a rule need not even be enumerated when it has no
+ground compartment and no two of its slots can take the same compartment
+class: each slot then takes one copy of one element, so the matches are
+the product of independent per-slot choices and their counts sum to the
+atom factor times the product of the slots' summed weights (Counted).
+The engine rates that sum with one rate_of call and, when the entry
+fires, descends the slot weights to the one match it builds.  A rule
+with grounds, two slots that can take one class, or any other law is
+enumerated by level_outcomes as above.
 
 Nothing here enumerates contexts: the engine's propensity tree and
 `cwcsim count` each walk a state's levels themselves.
@@ -48,7 +61,7 @@ Nothing here enumerates contexts: the engine's propensity tree and
 from __future__ import annotations
 
 from itertools import product
-from math import comb, perm
+from math import comb, inf, perm
 
 from .pattern import LevelPattern, Rule, apply_subst
 from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
@@ -62,12 +75,9 @@ def level_matches(lp: LevelPattern, content: Term, memo=None) -> list:
     level inside binds its residue to what its match leaves there.  memo
     keeps slot rows (`_slot_rows`); without one a throwaway dict serves this
     call."""
-    factor = 1
-    for a, j in lp.atoms:
-        m = content.count_atom_top(a)
-        if m < j:
-            return []
-        factor *= comb(m, j)
+    factor = _atom_factor(lp.atoms, content)
+    if not factor:
+        return []
 
     ground_need: dict = {}
     for g, j in lp.grounds:
@@ -91,39 +101,68 @@ def level_matches(lp: LevelPattern, content: Term, memo=None) -> list:
 
     results = []
     for placement in product(*candidates):
-        taken = dict(ground_need)
-        labelful: dict = {}
-        for idx, _, _, lf in placement:
-            taken[idx] = taken.get(idx, 0) + 1
-            labelful[idx] = labelful.get(idx, 0) + lf
-        total = factor
-        consumed = list(lp.atoms)
-        for idx, k in sorted(taken.items()):
-            el, cnt = content.items[idx]
-            if k > cnt:  # more slots and grounds than copies
-                break
-            if el.has_atoms:
-                j = labelful.get(idx, 0)
-                total *= perm(cnt, j) * comb(cnt - j, k - j)
-            consumed.append((el, k))
-        else:
-            bindings = {}
-            for _, b, count, _ in placement:
-                total *= count
-                bindings.update(b)
-            results.append((bindings, tuple(consumed), total))
+        match = _placed(lp.atoms, content, factor, ground_need, placement)
+        if match is not None:
+            results.append(match)
     return results
+
+
+def _atom_factor(atoms, content: Term) -> int:
+    """The ways to choose the pattern's ground atoms, C(m, j) per species;
+    0 when content has too few of one."""
+    factor = 1
+    for a, j in atoms:
+        m = content.count_atom_top(a)
+        if m < j:
+            return 0
+        factor *= comb(m, j)
+    return factor
+
+
+def _placed(atoms, content: Term, factor: int, ground_need: dict, placement) -> tuple:
+    """The match of one slot placement, a row (index, bindings, count,
+    labelful) per slot: (bindings, consumed, count), or None when slots and
+    grounds take more copies of a compartment than content has.  bindings
+    is a new dict."""
+    taken = dict(ground_need)
+    labelful: dict = {}
+    for idx, _, _, lf in placement:
+        taken[idx] = taken.get(idx, 0) + 1
+        labelful[idx] = labelful.get(idx, 0) + lf
+    total = factor
+    consumed = list(atoms)
+    for idx, k in sorted(taken.items()):
+        el, cnt = content.items[idx]
+        if k > cnt:  # more slots and grounds than copies
+            return None
+        if el.has_atoms:
+            j = labelful.get(idx, 0)
+            total *= perm(cnt, j) * comb(cnt - j, k - j)
+        consumed.append((el, k))
+    bindings: dict = {}
+    for _, b, count, _ in placement:
+        total *= count
+        bindings.update(b)
+    return bindings, tuple(consumed), total
 
 
 def _slot_rows(slot, el, memo) -> list:
     """The rows of one compartment slot on one compartment element, as
-    [(bindings, count, labelful)], kept in memo under (id(slot), el).  The
-    entry holds the slot itself, so a different slot with a reused id
-    recomputes.  Callers copy the bindings and never write into them."""
-    key = (id(slot), el)
+    [(bindings, count, labelful)], kept in memo under (id(slot), el, 1), a
+    key that weighs one row set.  The entry holds the slot itself, so a
+    different slot with a reused id recomputes.  Callers copy the bindings
+    and never write into them."""
+    key = (id(slot), el, 1)
     entry = memo.get(key)
     if entry is not None and entry[0] is slot:
         return entry[1]
+    rows = _rows(slot, el, memo)
+    memo[key] = (slot, rows)
+    return rows
+
+
+def _rows(slot, el, memo) -> list:
+    """The rows of slot on el, computed; nested slots go through memo."""
     rows = []
     if bag_contains(slot.wrap_atoms, el.wrap):
         x_val = bag_diff(el.wrap, slot.wrap_atoms)
@@ -140,8 +179,166 @@ def _slot_rows(slot, el, memo) -> list:
                 for v in bindings.values()
             )
             rows.append((bindings, wrap_choices * count, labelful))
-    memo[key] = (slot, rows)
     return rows
+
+
+def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
+    """The element index of one compartment element: ((rule index, slot
+    index), rows, summed row count) for every top-level slot of rules with a
+    row on el, kept in memo under (id(rules), el, width), width the number
+    of top-level slots of rules: the entry stands for that many row sets
+    and weighs as much (engine.Memo).  The entry holds rules, so another
+    tuple under a reused id recomputes.  A top-level slot's rows live only
+    here, so they are not kept twice."""
+    key = (id(rules), el, width)
+    entry = memo.get(key)
+    if entry is not None and entry[0] is rules:
+        return entry[1]
+    table = []
+    for i, rule in enumerate(rules):
+        for s, slot in enumerate(rule.lhs.slots):
+            rows = _rows(slot, el, memo)
+            if rows:
+                table.append(((i, s), rows, sum(row[1] for row in rows)))
+    table = tuple(table)
+    memo[key] = (rules, table)
+    return table
+
+
+def slot_candidates(rules: tuple, content: Term, memo) -> dict:
+    """{(rule index, slot index): [weight, matches, candidates]} for every
+    top-level slot of rules with a row on a compartment of content, one memo
+    lookup per compartment element.  candidates lists (index, copies, rows,
+    weight) in content order: copies is the element's copy count when it
+    carries atoms and 1 otherwise, the factor a slot taking one copy
+    contributes (module docstring), and weight is copies times the summed
+    row count.  weight and matches sum the candidates' weights and rows.
+    Grounds are not applied."""
+    found: dict = {}
+    width = sum(len(rule.lhs.slots) for rule in rules)
+    for idx, el, cnt in content.compartments():
+        copies = cnt if el.has_atoms else 1
+        for key, rows, summed in _element_rows(rules, el, memo, width):
+            weight = copies * summed
+            got = found.get(key)
+            if got is None:
+                found[key] = [weight, len(rows), [(idx, copies, rows, weight)]]
+            else:
+                got[0] += weight
+                got[1] += len(rows)
+                got[2].append((idx, copies, rows, weight))
+    return found
+
+
+def counted_matches(rule: Rule, i: int, content: Term, found: dict):
+    """The matches of rules[i] at content from its slot candidates (found,
+    from slot_candidates): [] when there are none; under an n-linear law,
+    with no ground compartment and slots that take disjoint compartment
+    classes, [(Outcome, n)] for a single match and [(Counted, n)] for more;
+    None when the rule needs level_outcomes."""
+    lp = rule.lhs
+    slots = []
+    for s in range(len(lp.slots)):
+        slot = found.get((i, s))
+        if slot is None:
+            return []
+        slots.append(slot)
+    factor = _atom_factor(lp.atoms, content)
+    if not factor:
+        return []
+    if not rule.rate.n_linear or lp.grounds:
+        return None
+    if len(slots) > 1:
+        classes = [c[0] for _, _, cands in slots for c in cands]
+        if len(set(classes)) < len(classes):
+            return None
+    n, count = factor, 1
+    for weight, matches, _ in slots:
+        n *= weight
+        count *= matches
+    if count == 1:  # the common case in one-cell models: no Counted needed
+        placement = [(cands[0][0],) + cands[0][2][0] for _, _, cands in slots]
+        bindings, consumed, n = _placed(lp.atoms, content, factor, {}, placement)
+        return [(Outcome(content, consumed, match=(rule, bindings)), n)]
+    return [(Counted(rule, content, factor, slots, n, count), n)]
+
+
+class Counted:
+    """The matches of an n-linear rule at one level content whose slots take
+    disjoint compartment classes and no ground compartment, counted and not
+    enumerated.  Each slot then takes one copy of its element, so a match
+    of rows r_s on elements e_s counts factor * prod(copies(e_s) *
+    count(r_s)) and the matches sum to n = factor * prod(W_s), W_s the
+    summed weight of slot s's candidates (slots, from slot_candidates).
+    pick finds one match by a count offset, descending the slots in
+    level_matches order; expand lists them all in that order.  Both keep
+    every Outcome they build.  count is the number of matches.  An
+    n-linear law does not read count_r, so the engine may pass a Counted
+    to rate_of as the outcome; it keeps the rate of one instantiation in
+    unit_rate, and a match of n is rated unit_rate * n, as rate_of rates
+    it."""
+
+    __slots__ = (
+        "rule", "content", "factor", "slots", "n", "count", "built", "listed", "unit_rate",
+    )
+
+    def __init__(self, rule: Rule, content: Term, factor: int, slots: list, n: int, count: int):
+        self.rule = rule
+        self.content = content
+        self.factor = factor
+        self.slots = slots
+        self.n = n
+        self.count = count
+        self.built: dict = {}
+        self.listed = None
+
+    def pick(self, offset: float) -> tuple:
+        """(Outcome, n) of the match whose cumulative count in match order
+        first exceeds offset; at or past n (from rounding), the last."""
+        unit = self.n  # the count of one unit of weight in the current block
+        key, placement = [], []
+        for summed, _, cands in self.slots:
+            unit //= summed
+            for idx, copies, rows, weight in cands:
+                if offset < unit * weight:
+                    break
+                offset -= unit * weight
+            else:
+                offset = inf
+            unit *= copies
+            for r, row in enumerate(rows):
+                if offset < unit * row[1]:
+                    break
+                offset -= unit * row[1]
+            else:
+                offset = inf
+            unit *= row[1]
+            key.append((idx, r))
+            placement.append((idx,) + row)
+        return self._built(tuple(key), placement)
+
+    def expand(self) -> list:
+        """[(Outcome, n)] of every match in match order, built once."""
+        if self.listed is None:
+            flat = [
+                [((idx, r), (idx,) + row)
+                 for idx, _, rows, _ in cands for r, row in enumerate(rows)]
+                for _, _, cands in self.slots
+            ]
+            self.listed = [
+                self._built(tuple(k for k, _ in combo), [p for _, p in combo])
+                for combo in product(*flat)
+            ]
+        return self.listed
+
+    def _built(self, key: tuple, placement: list) -> tuple:
+        got = self.built.get(key)
+        if got is None:
+            lp = self.rule.lhs
+            bindings, consumed, n = _placed(lp.atoms, self.content, self.factor, {}, placement)
+            outcome = Outcome(self.content, consumed, match=(self.rule, bindings))
+            got = self.built[key] = (outcome, n)
+        return got
 
 
 def _index_of(content: Term, element) -> int:
@@ -160,6 +357,7 @@ class Outcome:
     bindings are dropped."""
 
     __slots__ = ("content", "consumed", "produced", "match", "_term")
+    count = 1  # the transitions it lists, as Counted.count
 
     def __init__(self, content: Term, consumed: tuple, produced=None, match=None):
         self.content = content

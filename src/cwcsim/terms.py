@@ -13,6 +13,7 @@ public constructors check their input once, with ``_checked``, before it.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -112,7 +113,7 @@ def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
 class Compartment:
     """A wrapped compartment: an atom multiset around a content term."""
 
-    __slots__ = ("wrap", "content", "_key", "_hash", "size", "depth", "has_atoms")
+    __slots__ = ("wrap", "content", "_key", "_hash", "size", "depth", "has_atoms", "__weakref__")
 
     def __init__(self, wrap, content: "Term"):
         if not isinstance(content, Term):
@@ -148,7 +149,7 @@ class Term:
     are equal and hash alike.
     """
 
-    __slots__ = ("items", "_key", "_hash", "size", "depth", "has_atoms")
+    __slots__ = ("items", "_key", "_hash", "size", "depth", "has_atoms", "__weakref__")
 
     def __init__(self, elements: Iterable = ()):
         what = "term element must be Atom or Compartment"
@@ -234,6 +235,33 @@ class Term:
 
 
 EMPTY = Term()
+
+
+# Every live term and compartment passed through shared, by key.  One table
+# per process, so that the results of separate runs share; it holds its
+# objects weakly and keeps nothing alive.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def shared(t):
+    """An equal term or compartment whose equal subterms are the objects of
+    every other result of shared still alive, so that results kept side by
+    side, such as the final states of many trajectories, hold each distinct
+    subterm once.  Entries go when their object does."""
+    got = _SHARED.get(t._key)
+    if got is None:
+        if type(t) is Compartment:
+            content = shared(t.content)
+            if content is not t.content:
+                t = Compartment(t.wrap, content)
+        else:
+            items = tuple(
+                (shared(el) if type(el) is Compartment else el, n) for el, n in t.items
+            )
+            if any(a is not b for (a, _), (b, _) in zip(items, t.items)):
+                t = Term._of(items)
+        got = _SHARED.setdefault(t._key, t)
+    return got
 
 
 # A path addresses a compartment occurrence per level as (element index,

@@ -1,5 +1,6 @@
 """Simulation engine: draw discipline, sampling grid, statuses, incremental
 transition maintenance."""
+import importlib.resources
 import math
 from random import Random
 
@@ -15,8 +16,9 @@ from cwcsim import (
     run,
     run_replicates,
 )
+from cwcsim import engine
 from cwcsim.engine import TransitionStore, derive_seed, incremental_retransitions, step
-from cwcsim.terms import replace_at
+from cwcsim.terms import Compartment, replace_at
 from tests.conftest import gen_rule, gen_term, instantiate_lhs
 
 
@@ -182,6 +184,64 @@ def test_replicates_use_independent_streams():
     assert serial[1] == run(m, cfg, replicate=1)
     parallel = run_replicates(m, cfg, jobs=2)
     assert parallel == serial
+
+
+class InProcessPool:
+    """Stands for ProcessPoolExecutor, records max_workers and starts no
+    process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        InProcessPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, replicates, workers", [(8, 2, 2), (2, 5, 2), (3, 3, 3)])
+def test_pool_has_no_more_workers_than_replicates(monkeypatch, jobs, replicates, workers):
+    # the fork start method launches every worker at once
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "created", [])
+    m = model_of("init a * 20\nrule death: a => * @ 0.4\nobserve live: a in top\n")
+    cfg = SimConfig(t_max=4.0, seed=9, replicates=replicates)
+    pooled = run_replicates(m, cfg, jobs=jobs)
+    assert InProcessPool.created == [workers]
+    assert pooled == run_replicates(m, cfg, jobs=1)
+
+
+PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_finished_runs_share_equal_subterms(monkeypatch, jobs):
+    # trajectories kept side by side hold each distinct cell once
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    text = importlib.resources.files("cwcsim").joinpath("models/pho.cwc").read_text()
+    init = "Pi*40 " + " ".join([PHO_CELL] * 4)
+    m = model_of(f"init {init}\nrule " + text.split("\nrule ", 1)[1])
+    cfg = SimConfig(max_events=60, seed=3, replicates=6)
+    with monkeypatch.context() as unshared:
+        unshared.setattr(engine, "shared", lambda t: t)
+        plain = run_replicates(m, cfg, jobs=jobs)
+    trajs = run_replicates(m, cfg, jobs=jobs)
+    assert trajs == plain
+    cells: dict = {}
+    kept = 0
+    for traj in trajs:
+        for el, _ in traj.final_state.items:
+            if type(el) is Compartment:
+                assert cells.setdefault(el, el) is el
+                kept += 1
+    assert len(cells) < kept  # some runs reached equal cells
+    assert run(m, cfg, 0).final_state is trajs[0].final_state
 
 
 def test_derive_seed_streams():

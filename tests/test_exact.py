@@ -192,6 +192,38 @@ BIND = (
 )
 
 
+# One pho cell (pho.cwc without express and decay, which make the state
+# space infinite) with small copy numbers and faster rates: Pi plus bound
+# PhoR stays 4, PhoR plus PhoRP 3, PhoB plus PhoBP 2.
+PHO_CELL = (
+    "init Pi*3 (pore | (PhoR*2 PhoRP | PhoB*2 PhoGenes))\n"
+    "rule in1: Pi (pore ~x | $X) => (pore ~x | Pi $X) @ 0.5\n"
+    "rule out1: (pore ~x | Pi $X) => Pi (pore ~x | $X) @ 0.5\n"
+    "rule bind: Pi (PhoR ~x | $X) => (PhoRP ~x | $X) @ 0.3\n"
+    "rule unbind: (PhoRP ~x | $X) => Pi (PhoR ~x | $X) @ 0.4\n"
+    "rule kinase: (PhoR ~x | PhoB $X) => (PhoR ~x | PhoBP $X) @ 0.5\n"
+    "rule phosphatase: (PhoRP ~x | PhoBP $X) => (PhoRP ~x | PhoB $X) @ 0.4\n"
+    "observe PhoBP: PhoBP in anywhere\n"
+)
+# Both slots of pair can take one compartment class, here two copies of
+# it, so the store enumerates pair's matches; back takes (m | b) and
+# (m | b c) once both exist, which it counts without enumerating.
+SAME_CLASS = (
+    "init (m | a) (m | a) (m | a) (m | a c)\n"
+    "rule pair: (m ~u | a $x) (m ~v | a $y) => (m ~u | b $x) (m ~v | b $y) @ 0.5\n"
+    "rule back: (m ~u | b $x) => (m ~u | a $x) @ 1\n"
+    "observe b: b in inside m\n"
+)
+# A ground compartment next to a slot: the catalyst (g | *) is consumed
+# and put back, and cat's matches are enumerated.
+GROUND = (
+    "init (g | *) (m | a) (m | a) (m | a b)\n"
+    "rule cat: (g | *) (m ~u | a $x) => (g | *) (m ~u | c $x) @ 1\n"
+    "rule back: (m ~u | c $x) => (m ~u | a $x) @ 0.5\n"
+    "observe c: c in inside m\n"
+)
+
+
 def shared_outcome(law: str) -> str:
     # the matches x = p, y = q and x = q, y = p share one outcome
     return (
@@ -231,6 +263,9 @@ CASES = [
     ("bind", BIND, None),
     ("shared @ k", shared_outcome("1"), None),
     ("shared fn(n * n)", shared_outcome("fn(n * n)"), None),
+    ("pho cell", PHO_CELL, None),
+    ("same class", SAME_CLASS, None),
+    ("ground", GROUND, None),
 ]
 REPLICATES = 300
 TIMES = [0.5, 1.0, 2.0, 4.0]

@@ -101,7 +101,8 @@ def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
     """level_matches with a memo warmed on other contents gives what it gives
     without one, and building every outcome of a store that shares the memo
     (which writes residues into each match's bindings) leaves every memoised
-    row equal to a fresh recomputation."""
+    row equal to a fresh recomputation: a nested slot's rows, and each
+    element's index of the rows of every top-level slot."""
     n_linear, other = 0, 0
     for trial in range(60):
         rules = tuple(gen_rule(rng, f"r{i}") for i in range(3))
@@ -120,11 +121,22 @@ def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
         store = TransitionStore(state, rules, memo)
         built = list(store)  # every outcome of the store, built
         assert built == list(TransitionStore(state, rules))
-        rows = [(k, v) for k, v in memo.items() if type(k) is tuple]
-        for (_, el), (slot, got) in rows:
-            assert got == _slot_rows(slot, el, {})
+        rows = 0
+        for (_, el, _), (owner, got) in [(k, v) for k, v in memo.items() if type(k) is tuple]:
+            if owner is rules:  # an element's rows for every top-level slot
+                want = []
+                for i, rule in enumerate(rules):
+                    for s, slot in enumerate(rule.lhs.slots):
+                        fresh = _slot_rows(slot, el, {})
+                        if fresh:
+                            want.append(((i, s), fresh, sum(row[1] for row in fresh)))
+                assert got == tuple(want)
+                rows += len(got)
+            else:  # a nested slot's rows
+                assert got == _slot_rows(owner, el, {})
+                rows += 1
         if trial % 2:
-            other += len(rows)
+            other += rows
         else:
-            n_linear += len(rows)
+            n_linear += rows
     assert n_linear > 50 and other > 50  # both outcome shapes met memoised rows
