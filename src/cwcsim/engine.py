@@ -27,20 +27,20 @@ the node keeps every Outcome it built for every later store that reaches
 it.  A config flag cross-checks every store against an uncached
 recomputation.
 
-Nodes and matching's slot rows share one per-run memo (Memo): nodes keyed
-by level content, nested slot rows by (id(slot), element, 1) and the
-element index of top-level slot rows by (id(rules), element, number of
-top-level slots).  An entry weighs the size its key's content or element
-caches, times the number of row sets a row key names, so the element
-index weighs what the per-slot rows it replaced weighed; MEMO_BUDGET
-bounds the summed weight over two generations, so a diverging run keeps a
-bounded memo.  Eviction is safe: a store holds its nodes directly, every node its
-children and Outcomes, and an evicted entry is rebuilt equal from its key
-alone.  The memo lives for one run, which keeps the rules its slot keys
-name alive; it is not shared across replicates, because a shared memo
-cost more in memory and garbage collection than its hits saved.  A
-finished run's final state goes through terms.shared, so trajectories
-kept side by side share their equal subterms.
+Nodes and matching's element index share one per-run memo (Memo): nodes
+keyed by level content, and the rows of every top-level slot on one
+compartment element by (id(rules), element, number of top-level slots);
+nested slot levels are computed inside an index miss and not kept.  An
+entry weighs the size its key's content or element caches, times the row
+sets an index key names; MEMO_BUDGET bounds the summed weight over two
+generations, so a diverging run keeps a bounded memo.  Eviction is safe:
+a store holds its nodes directly, every node its children and Outcomes,
+and an evicted entry is rebuilt equal from its key alone.  The memo lives
+for one run, which keeps the rules its index keys name alive; it is not
+shared across replicates, because a shared memo cost more in memory and
+garbage collection than its hits saved.  A finished run's final state
+goes through terms.shared, so trajectories kept side by side share their
+equal subterms.
 """
 from __future__ import annotations
 
@@ -167,12 +167,12 @@ MEMO_BUDGET = 250_000
 
 
 class Memo:
-    """One run's memo of level nodes (keyed by level content) and slot rows
-    (keyed by (id(owner), element, row sets), see matching._slot_rows and
+    """One run's memo of level nodes (keyed by level content) and the
+    element index (keyed by (id(rules), element, row sets), see
     matching._element_rows), bounded by one budget on their summed weight.
     An entry weighs the size its key's content or element caches, times the
-    row sets of a row key (_weight).  Two generations: an entry goes into the
-    young one, which becomes the old one, dropping the previous old one,
+    row sets of an index key (_weight).  Two generations: an entry goes into
+    the young one, which becomes the old one, dropping the previous old one,
     when it would pass half the budget; a hit in the old generation moves
     the entry back into the young one.  An entry heavier than half the
     budget is not kept.  get and item assignment are those of a dict, so a
@@ -225,8 +225,9 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
         local = []
         for i, rule in enumerate(rules):
             entries = counted_matches(rule, i, content, found)
-            if entries is None:
-                entries = level_outcomes(rule, content, memo)
+            if entries is None:  # enumerated from the element index's candidates
+                slots = [found[i, s][2] for s in range(len(rule.lhs.slots))]
+                entries = level_outcomes(rule, content, slots)
             for outcome, n_local in entries:
                 counted = type(outcome) is Counted
                 try:
@@ -255,11 +256,12 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
 
 class TransitionStore:
     """The enabled transitions of one state as a tree of level nodes; memo
-    (a Memo or a dict) maps level contents to nodes and slots to their rows,
-    and may serve every store of one rules tuple.  len() counts the
-    transitions, one per match class of a counted entry, and total sums
-    their rates.  Iteration yields them in canonical pre-order from a list
-    built once and kept, so one store always yields the same objects."""
+    (a Memo or a dict) maps level contents to nodes and compartment
+    elements to their index entries, and may serve every store of one rules
+    tuple.  len() counts the transitions, one per match class of a counted
+    entry, and total sums their rates.  Iteration yields them in canonical
+    pre-order from a list built once and kept, so one store always yields
+    the same objects."""
 
     __slots__ = ("rules", "root", "total", "_list")
 

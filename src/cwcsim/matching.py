@@ -34,16 +34,15 @@ first use; outcome_terms merges the entries per built term.
 A compartment slot's matches on one compartment element -- bindings with
 the slot level's residue and wrap variable, count and whether they carry
 atoms -- depend on the slot and the element only, not on the level around
-them, so they are memoised as rows.  A nested slot's rows are kept under
-(id(slot), element, 1).  The rows of every top-level slot of a rules tuple
-on one element are kept together under (id(rules), element, number of
-top-level slots), the element index, so a level the engine has not met
-looks each compartment up once (slot_candidates), not once per rule and
-slot; level_matches, which the engine calls only for the rules it cannot
-count, goes through the per-slot rows.  The engine passes its per-run
-memo; without one a throwaway dict serves a single call.  Rows come back
-in content order, so match order does not depend on the memo, and every
-caller copies a row's bindings before writing into them.
+them: they are its rows (_rows).  The rows of every top-level slot of a
+rules tuple on one element are memoised together under (id(rules),
+element, number of top-level slots), the element index, so a level the
+engine has not met looks each compartment up once (slot_candidates), not
+once per rule and slot; the engine's level_matches calls take their slot
+candidates from it.  It is the only memo of rows: nested slot levels are
+computed inside an index miss and not kept.  Rows come back in content
+order, so match order does not depend on the memo, and every caller
+copies a row's bindings before writing into them.
 
 Under an n-linear law a rule need not even be enumerated when it has no
 ground compartment and no two of its slots can take the same compartment
@@ -67,14 +66,15 @@ from .pattern import LevelPattern, Rule, apply_subst
 from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
 
 
-def level_matches(lp: LevelPattern, content: Term, memo=None) -> list:
+def level_matches(lp: LevelPattern, content: Term, slots=None) -> list:
     """All distinct substitutions of lp against content, each with the number
     of labeled instantiations it stands for.  Returns [(bindings, consumed,
     count)]: consumed lists the (element, count) pairs the match removes from
     content, in content order.  lp's own residue is left unbound; each slot
-    level inside binds its residue to what its match leaves there.  memo
-    keeps slot rows (`_slot_rows`); without one a throwaway dict serves this
-    call."""
+    level inside binds its residue to what its match leaves there.  slots
+    gives, per slot of lp, its candidates (index, copies, rows, weight) in
+    content order, as slot_candidates lists them; only index and rows are
+    read.  Without slots they are computed with _rows."""
     factor = _atom_factor(lp.atoms, content)
     if not factor:
         return []
@@ -86,15 +86,21 @@ def level_matches(lp: LevelPattern, content: Term, memo=None) -> list:
             return []
         ground_need[idx] = ground_need.get(idx, 0) + j
 
-    if memo is None:
-        memo = {}
+    if slots is None:
+        slots = [
+            [(idx, None, _rows(slot, el), None)
+             for idx, el, cnt in content.compartments() if ground_need.get(idx, 0) < cnt]
+            for slot in lp.slots
+        ]
     # Per slot, every (index, bindings, count, labelful) it can take.
     candidates = []
-    for slot in lp.slots:
-        found = []
-        for idx, el, cnt in content.compartments():
-            if ground_need.get(idx, 0) < cnt:
-                found.extend((idx,) + row for row in _slot_rows(slot, el, memo))
+    for cands in slots:
+        found = [
+            (idx,) + row
+            for idx, _, rows, _ in cands
+            if ground_need.get(idx, 0) < content.items[idx][1]
+            for row in rows
+        ]
         if not found:
             return []
         candidates.append(found)
@@ -146,30 +152,17 @@ def _placed(atoms, content: Term, factor: int, ground_need: dict, placement) -> 
     return bindings, tuple(consumed), total
 
 
-def _slot_rows(slot, el, memo) -> list:
+def _rows(slot, el) -> list:
     """The rows of one compartment slot on one compartment element, as
-    [(bindings, count, labelful)], kept in memo under (id(slot), el, 1), a
-    key that weighs one row set.  The entry holds the slot itself, so a
-    different slot with a reused id recomputes.  Callers copy the bindings
-    and never write into them."""
-    key = (id(slot), el, 1)
-    entry = memo.get(key)
-    if entry is not None and entry[0] is slot:
-        return entry[1]
-    rows = _rows(slot, el, memo)
-    memo[key] = (slot, rows)
-    return rows
-
-
-def _rows(slot, el, memo) -> list:
-    """The rows of slot on el, computed; nested slots go through memo."""
+    [(bindings, count, labelful)], computed; nested slot levels are
+    computed too and not kept."""
     rows = []
     if bag_contains(slot.wrap_atoms, el.wrap):
         x_val = bag_diff(el.wrap, slot.wrap_atoms)
         wrap_choices = 1
         for a, j in slot.wrap_atoms:
             wrap_choices *= comb(bag_count(el.wrap, a), j)
-        for bindings, consumed, count in level_matches(slot.content, el.content, memo):
+        for bindings, consumed, count in level_matches(slot.content, el.content):
             bindings[slot.content.residue] = (
                 el.content.subtract(consumed) if consumed else el.content
             )
@@ -188,8 +181,8 @@ def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
     row on el, kept in memo under (id(rules), el, width), width the number
     of top-level slots of rules: the entry stands for that many row sets
     and weighs as much (engine.Memo).  The entry holds rules, so another
-    tuple under a reused id recomputes.  A top-level slot's rows live only
-    here, so they are not kept twice."""
+    tuple under a reused id recomputes.  Callers copy the bindings and
+    never write into them."""
     key = (id(rules), el, width)
     entry = memo.get(key)
     if entry is not None and entry[0] is rules:
@@ -197,7 +190,7 @@ def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
     table = []
     for i, rule in enumerate(rules):
         for s, slot in enumerate(rule.lhs.slots):
-            rows = _rows(slot, el, memo)
+            rows = _rows(slot, el)
             if rows:
                 table.append(((i, s), rows, sum(row[1] for row in rows)))
     table = tuple(table)
@@ -213,9 +206,11 @@ def slot_candidates(rules: tuple, content: Term, memo) -> dict:
     carries atoms and 1 otherwise, the factor a slot taking one copy
     contributes (module docstring), and weight is copies times the summed
     row count.  weight and matches sum the candidates' weights and rows.
-    Grounds are not applied."""
+    Grounds are not applied; rules without top-level slots keep nothing."""
     found: dict = {}
     width = sum(len(rule.lhs.slots) for rule in rules)
+    if not width:
+        return found
     for idx, el, cnt in content.compartments():
         copies = cnt if el.has_atoms else 1
         for key, rows, summed in _element_rows(rules, el, memo, width):
@@ -270,13 +265,14 @@ class Counted:
     of rows r_s on elements e_s counts factor * prod(copies(e_s) *
     count(r_s)) and the matches sum to n = factor * prod(W_s), W_s the
     summed weight of slot s's candidates (slots, from slot_candidates).
-    pick finds one match by a count offset, descending the slots in
-    level_matches order; expand lists them all in that order.  Both keep
-    every Outcome they build.  count is the number of matches.  An
-    n-linear law does not read count_r, so the engine may pass a Counted
-    to rate_of as the outcome; it keeps the rate of one instantiation in
-    unit_rate, and a match of n is rated unit_rate * n, as rate_of rates
-    it."""
+    expand lists the matches through level_outcomes, in its order; pick
+    finds one by a count offset, descending the slots in that order, and
+    keeps what it builds under the match's position there.  Once the list
+    exists pick returns its objects, and the list holds what pick built.
+    count is the number of matches.  An n-linear law does not read
+    count_r, so the engine may pass a Counted to rate_of as the outcome; it
+    keeps the rate of one instantiation in unit_rate, and a match of n is
+    rated unit_rate * n, as rate_of rates it."""
 
     __slots__ = (
         "rule", "content", "factor", "slots", "n", "count", "built", "listed", "unit_rate",
@@ -296,15 +292,18 @@ class Counted:
         """(Outcome, n) of the match whose cumulative count in match order
         first exceeds offset; at or past n (from rounding), the last."""
         unit = self.n  # the count of one unit of weight in the current block
-        key, placement = [], []
-        for summed, _, cands in self.slots:
+        position, placement = 0, []
+        for summed, matches, cands in self.slots:
             unit //= summed
+            before = 0  # the slot's rows on earlier candidates
             for idx, copies, rows, weight in cands:
                 if offset < unit * weight:
                     break
                 offset -= unit * weight
+                before += len(rows)
             else:
                 offset = inf
+                before -= len(rows)
             unit *= copies
             for r, row in enumerate(rows):
                 if offset < unit * row[1]:
@@ -313,32 +312,26 @@ class Counted:
             else:
                 offset = inf
             unit *= row[1]
-            key.append((idx, r))
+            position = position * matches + before + r
             placement.append((idx,) + row)
-        return self._built(tuple(key), placement)
-
-    def expand(self) -> list:
-        """[(Outcome, n)] of every match in match order, built once."""
-        if self.listed is None:
-            flat = [
-                [((idx, r), (idx,) + row)
-                 for idx, _, rows, _ in cands for r, row in enumerate(rows)]
-                for _, _, cands in self.slots
-            ]
-            self.listed = [
-                self._built(tuple(k for k, _ in combo), [p for _, p in combo])
-                for combo in product(*flat)
-            ]
-        return self.listed
-
-    def _built(self, key: tuple, placement: list) -> tuple:
-        got = self.built.get(key)
+        if self.listed is not None:
+            return self.listed[position]
+        got = self.built.get(position)
         if got is None:
             lp = self.rule.lhs
             bindings, consumed, n = _placed(lp.atoms, self.content, self.factor, {}, placement)
             outcome = Outcome(self.content, consumed, match=(self.rule, bindings))
-            got = self.built[key] = (outcome, n)
+            got = self.built[position] = (outcome, n)
         return got
+
+    def expand(self) -> list:
+        """[(Outcome, n)] of every match in match order, listed once."""
+        if self.listed is None:
+            self.listed = level_outcomes(self.rule, self.content, [c for _, _, c in self.slots])
+            for position, got in self.built.items():
+                self.listed[position] = got
+            self.built = None
+        return self.listed
 
 
 def _index_of(content: Term, element) -> int:
@@ -401,13 +394,13 @@ def _delta(rule: Rule, content: Term, bindings: dict, consumed: tuple) -> tuple:
     return content.items, apply_subst(rule.rhs, bindings).items
 
 
-def level_outcomes(rule: Rule, content: Term, memo=None) -> list:
+def level_outcomes(rule: Rule, content: Term, slots=None) -> list:
     """Local outcomes as unbuilt deltas, in match order, with their
     instantiation counts.  Under an n-linear law, one entry per match;
     otherwise matches are grouped by their signed delta produced - consumed,
-    zero entries dropped.  memo is passed to level_matches.  Returns
+    zero entries dropped.  slots is passed to level_matches.  Returns
     [(Outcome, n)]."""
-    matches = level_matches(rule.lhs, content, memo)
+    matches = level_matches(rule.lhs, content, slots)
     if rule.rate.n_linear:
         return [
             (Outcome(content, consumed, match=(rule, bindings)), count)

@@ -119,17 +119,6 @@ class OpenTerm:
         return OpenTerm(self.items + other.items)
 
 
-def open_of_term(t: Term) -> OpenTerm:
-    """Embed a ground term as an open term."""
-    out = []
-    for el, n in t.items:
-        if type(el) is Atom:
-            out.append((el, n))
-        else:
-            out.append((OpenCompartment(el.wrap, (), open_of_term(el.content)), n))
-    return OpenTerm(out)
-
-
 def ground_term(o: OpenTerm) -> Term:
     """Convert a variable-free open term back to a term."""
     if not o.is_ground:
@@ -182,7 +171,7 @@ def apply_subst(o: OpenTerm, subst: Mapping) -> Term:
                     )
                 wrap.extend((a, m * k) for a, m in value)
             content = apply_subst(el.content, subst)
-            out.append((Compartment(wrap, content), n))
+            out.append((Compartment._of(_canonical(wrap), content), n))
     return Term._of(_canonical(out))
 
 

@@ -118,7 +118,18 @@ class Compartment:
     def __init__(self, wrap, content: "Term"):
         if not isinstance(content, Term):
             raise TypeError("compartment content must be a Term")
-        self.wrap = bag = atom_bag(wrap)
+        self._fill(atom_bag(wrap), content)
+
+    @classmethod
+    def _of(cls, wrap: AtomBag, content: "Term") -> "Compartment":
+        """A compartment from a wrap already in canonical form; nothing is
+        checked or sorted again."""
+        c = object.__new__(cls)
+        c._fill(wrap, content)
+        return c
+
+    def _fill(self, bag: AtomBag, content: "Term"):
+        self.wrap = bag
         self.content = content
         self._key = (1, tuple((a.name, n) for a, n in bag), content._key)
         self._hash = hash(self._key)
@@ -253,7 +264,7 @@ def shared(t):
         if type(t) is Compartment:
             content = shared(t.content)
             if content is not t.content:
-                t = Compartment(t.wrap, content)
+                t = Compartment._of(t.wrap, content)
         else:
             items = tuple(
                 (shared(el) if type(el) is Compartment else el, n) for el, n in t.items
@@ -295,7 +306,7 @@ def replace_at(t: Term, path: Path, new_content: Term) -> Term:
     if not path:
         return new_content
     el, n = _step(t, path[0])
-    rebuilt = Compartment(el.wrap, replace_at(el.content, path[1:], new_content))
+    rebuilt = Compartment._of(el.wrap, replace_at(el.content, path[1:], new_content))
     rest = list(t.items)
     rest[path[0][0]] = (el, n - 1)
     rest.append((rebuilt, 1))

@@ -101,6 +101,41 @@ def test_descent_lands_on_each_match_n_times_on_bundled_models(name, init):
     assert entries > 50
 
 
+def check_kept(state, rules) -> int:
+    """On two fresh stores of state: expand after pick lists every object
+    pick built, pick after expand returns listed objects, and both orders
+    put each offset's match at one position.  Returns the number of
+    Counted entries checked."""
+    offsets = lambda c: [k + 0.5 for k in range(c.n)] + [c.n]  # noqa: E731
+    position = lambda listed, got: [id(x) for x in listed].index(id(got))  # noqa: E731
+    entries = 0
+    stores = TransitionStore(state, rules), TransitionStore(state, rules)
+    for first, second in zip(*map(counted_entries, stores)):
+        picked = [first.pick(k) for k in offsets(first)]  # pick, then expand
+        listed = first.expand()
+        at = [position(listed, got) for got in picked]
+        listed = second.expand()  # expand, then pick
+        assert [position(listed, second.pick(k)) for k in offsets(second)] == at
+        entries += 1
+    return entries
+
+
+def test_expand_keeps_what_pick_built_on_random_states(rng):
+    entries = 0
+    for rules, state in random_states(rng, 200):
+        entries += check_kept(state, rules)
+    assert entries > 40
+
+
+@pytest.mark.parametrize("name, init", MODELS)
+def test_expand_keeps_what_pick_built_on_bundled_models(name, init):
+    rules = bundled(name, init)
+    entries = 0
+    for state, _ in walk(rules, parse_term(init), 60, seed=5):
+        entries += check_kept(state, rules)
+    assert entries > 50
+
+
 def check_store(state, rules, memo):
     """A store built with a warm memo lists what a fresh one lists, rates
     sum to its total, len() counts the listing, and selection at the

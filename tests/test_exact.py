@@ -223,6 +223,18 @@ GROUND = (
     "observe c: c in inside m\n"
 )
 
+# Two slots that can take one compartment class, on a level nested inside
+# a wrapping compartment (the shape of macrophage's release and engulf),
+# with copies at both levels: pair's rows on each (w | ...) enumerate the
+# inner placements, which nothing memoises.
+NESTED_PAIR = (
+    "init (w | (m | a) (m | a) (m | a c)) (w | (m | a) (m | a) (m | a c))\n"
+    "rule pair: (w ~z | (m ~u | a $x) (m ~v | a $y) $Z)"
+    " => (w ~z | (m ~u | b $x) (m ~v | b $y) $Z) @ 0.5\n"
+    "rule back: (m ~u | b $x) => (m ~u | a $x) @ 1\n"
+    "observe b: b in inside m\n"
+)
+
 
 def shared_outcome(law: str) -> str:
     # the matches x = p, y = q and x = q, y = p share one outcome
@@ -266,6 +278,7 @@ CASES = [
     ("pho cell", PHO_CELL, None),
     ("same class", SAME_CLASS, None),
     ("ground", GROUND, None),
+    ("nested pair", NESTED_PAIR, None),
 ]
 REPLICATES = 300
 TIMES = [0.5, 1.0, 2.0, 4.0]

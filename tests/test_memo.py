@@ -1,9 +1,11 @@
-"""The per-run memo: level nodes and slot rows under one weight budget.
+"""The per-run memo: level nodes and the element index under one weight
+budget.
 
 The memo bounds what a run keeps (defect 4: the node cache grew with every
 state a diverging run visited), it may drop any entry at any time without
 changing a trajectory, and the slot rows it serves equal a fresh
-recomputation however the outcomes built from them were used."""
+recomputation however the outcomes built from them were used.  The element
+index is its only memo of slot rows."""
 import dataclasses
 import importlib.resources
 import time
@@ -13,9 +15,9 @@ import pytest
 from cwcsim import Model, SimConfig, parse_model, run
 from cwcsim import engine
 from cwcsim.engine import Memo, TransitionStore
-from cwcsim.matching import _slot_rows, level_matches
+from cwcsim.matching import _rows
 from cwcsim.rates import BinOp, FnRate, MatchCount
-from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
+from tests.conftest import gen_rule, gen_term, instantiate_lhs
 
 PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
 MACROPHAGE = "(CD31 M | (lyso | lyticEnz) innerM)"
@@ -80,8 +82,8 @@ EVICTING = [
 def test_eviction_leaves_the_trajectory_unchanged(monkeypatch, counting, name, init, sample_dt):
     """Eviction is safe because a store holds its nodes directly: a node
     keeps its children and every Outcome it rated, so a store being read
-    never goes back to the memo, and an evicted node or slot row is rebuilt
-    equal to what it was, from the content alone."""
+    never goes back to the memo, and an evicted node or index entry is
+    rebuilt equal to what it was, from the content alone."""
     model = bundled(name, init)
     cfg = SimConfig(max_events=300, seed=11, sample_dt=sample_dt, log_events=True)
     kept = run(model, cfg)
@@ -97,46 +99,67 @@ def test_eviction_leaves_the_trajectory_unchanged(monkeypatch, counting, name, i
     assert checked.cross_check_failures == 0 and checked.events == 150
 
 
+def tuple_keys(memo) -> list:
+    """The memo's row keys, (id(owner), element, row sets), with entries."""
+    young, old = (memo.young, memo.old) if isinstance(memo, Memo) else (memo, {})
+    return [(k, v) for k, v in (*young.items(), *old.items()) if type(k) is tuple]
+
+
 def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
-    """level_matches with a memo warmed on other contents gives what it gives
-    without one, and building every outcome of a store that shares the memo
-    (which writes residues into each match's bindings) leaves every memoised
-    row equal to a fresh recomputation: a nested slot's rows, and each
-    element's index of the rows of every top-level slot."""
+    """Building every outcome of a store that shares the memo (which writes
+    residues into each match's bindings) leaves every element-index entry
+    equal to a fresh recomputation of the rows of every top-level slot,
+    and the memo keeps no other rows: nested slot levels are not kept."""
     n_linear, other = 0, 0
     for trial in range(60):
         rules = tuple(gen_rule(rng, f"r{i}") for i in range(3))
         if trial % 2:
             law = FnRate(BinOp("*", MatchCount(), MatchCount()))
             rules = tuple(dataclasses.replace(r, rate=law) for r in rules)
+        width = sum(len(rule.lhs.slots) for rule in rules)
         memo: dict = {}
         for rule in rules:  # warm the memo on other contents
             for _ in range(2):
-                for _, content in levels(instantiate_lhs(rng, rule)):
-                    level_matches(rule.lhs, content, memo)
+                list(TransitionStore(instantiate_lhs(rng, rule), rules, memo))
         state = instantiate_lhs(rng, rules[trial % 3]).union(gen_term(rng, depth=2, atom_budget=4))
-        for rule in rules:
-            for _, content in levels(state):
-                assert level_matches(rule.lhs, content, memo) == level_matches(rule.lhs, content)
         store = TransitionStore(state, rules, memo)
         built = list(store)  # every outcome of the store, built
         assert built == list(TransitionStore(state, rules))
         rows = 0
-        for (_, el, _), (owner, got) in [(k, v) for k, v in memo.items() if type(k) is tuple]:
-            if owner is rules:  # an element's rows for every top-level slot
-                want = []
-                for i, rule in enumerate(rules):
-                    for s, slot in enumerate(rule.lhs.slots):
-                        fresh = _slot_rows(slot, el, {})
-                        if fresh:
-                            want.append(((i, s), fresh, sum(row[1] for row in fresh)))
-                assert got == tuple(want)
-                rows += len(got)
-            else:  # a nested slot's rows
-                assert got == _slot_rows(owner, el, {})
-                rows += 1
+        for (owner_id, el, sets), (owner, got) in tuple_keys(memo):
+            assert owner is rules and owner_id == id(rules) and sets == width
+            want = []
+            for i, rule in enumerate(rules):
+                for s, slot in enumerate(rule.lhs.slots):
+                    fresh = _rows(slot, el)
+                    if fresh:
+                        want.append(((i, s), fresh, sum(row[1] for row in fresh)))
+            assert got == tuple(want)
+            rows += len(got)
         if trial % 2:
             other += rows
         else:
             n_linear += rows
     assert n_linear > 50 and other > 50  # both outcome shapes met memoised rows
+
+
+def test_rules_without_a_slot_keep_no_rows(monkeypatch):
+    """With no top-level compartment slot the element index has nothing to
+    hold, so the memo keeps level nodes only: an empty index entry would
+    weigh 0 and escape the budget."""
+    mf = parse_model(
+        "init a a b (m | a b) (n | a a) (m n | b (m | a))\n"
+        "rule ab: a => b @ 1\n"
+        "rule ba: b => a @ 1\n"
+    )
+    memos = []
+    rebuild = engine.incremental_retransitions
+
+    def kept(prev, next_state, rules, memo):
+        memos.append(memo)
+        return rebuild(prev, next_state, rules, memo)
+
+    monkeypatch.setattr(engine, "incremental_retransitions", kept)
+    traj = run(Model(mf.init, mf.rules), SimConfig(max_events=300, seed=3))
+    assert traj.events == 300 and memos[-1] is memos[0]
+    assert memos[0].weight > 0 and tuple_keys(memos[0]) == []

@@ -1,8 +1,7 @@
 """Rule validation and substitution application."""
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from cwcsim import Term, parse_rule, parse_term
+from cwcsim import parse_rule, parse_term
 from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
@@ -10,7 +9,6 @@ from cwcsim.pattern import (
     SubstitutionError,
     apply_subst,
     ground_term,
-    open_of_term,
     term_var,
     validate_rule,
     vars_of,
@@ -18,7 +16,6 @@ from cwcsim.pattern import (
 )
 from cwcsim.rates import MassAction
 from cwcsim.terms import EMPTY, Atom, atom_bag
-from tests.test_terms import terms
 
 A = Atom
 X, Y, Z = term_var("X"), term_var("Y"), term_var("Z")
@@ -150,14 +147,6 @@ def test_apply_subst_errors():
     with pytest.raises(SubstitutionError) as exc:
         apply_subst(o, {x: parse_term("a")})
     assert exc.value.code == "kind-mismatch"
-
-
-@settings(deadline=None)
-@given(terms)
-def test_open_of_term_round_trip(t):
-    o = open_of_term(t)
-    assert o.is_ground and vars_of(o) == set()
-    assert ground_term(o) == t
 
 
 def test_ground_term_rejects_variables():

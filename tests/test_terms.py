@@ -8,7 +8,6 @@ from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
     apply_subst,
-    open_of_term,
     term_var,
     wrap_var,
 )
@@ -161,6 +160,14 @@ def _replace_by_elements(t: Term, path, new_content: Term) -> Term:
     return Term([p if j != i else (el, n - 1) for j, p in enumerate(t.items)] + [rebuilt])
 
 
+def _open(t: Term) -> OpenTerm:
+    """t as a variable-free open term."""
+    return OpenTerm([
+        (el if type(el) is Atom else OpenCompartment(el.wrap, (), _open(el.content)), n)
+        for el, n in t.items
+    ])
+
+
 @settings(deadline=None)
 @given(terms, terms, terms, bags, bags, st.data())
 def test_trusted_constructions_equal_validated_ones(t, u, c, wrap, x_val, data):
@@ -170,9 +177,18 @@ def test_trusted_constructions_equal_validated_ones(t, u, c, wrap, x_val, data):
     for path in all_paths(t):
         _same(replace_at(t, path, c), _replace_by_elements(t, path, c))
     X, x = term_var("X"), wrap_var("x")
-    rhs = OpenTerm([(X, 2), OpenCompartment(wrap, [x], open_of_term(u))]).union(open_of_term(c))
+    rhs = OpenTerm([(X, 2), OpenCompartment(wrap, [x], _open(u))]).union(_open(c))
     want = Term(list(t.items) * 2 + [Compartment(wrap + x_val, u)] + list(c.items))
     _same(apply_subst(rhs, {X: t, x: x_val}), want)
+
+
+@settings(deadline=None)
+@given(bags, terms)
+def test_trusted_compartment_equals_validated_one(wrap, content):
+    got, want = Compartment._of(wrap, content), Compartment(wrap, content)
+    assert got == want and got.wrap == want.wrap and got._key == want._key
+    assert (got.size, got.depth, got.has_atoms) == (want.size, want.depth, want.has_atoms)
+    assert hash(got) == hash(want)
 
 
 def test_wrap_pairs_are_canonical():
