@@ -11,20 +11,23 @@ rate law evaluated on one copy.  The enabled transitions form a tree of
 level nodes cached by level content, each holding its rated local
 transitions and its subtree total, so after an event only the nodes on the
 rewritten path are built and nothing else is re-rated; selection descends
-the tree by the totals.  A local transition holds its outcome unbuilt
-(matching.Outcome): a match's bindings under an n-linear law, otherwise a
-delta grouped by its signed value and rated from it.  An n-linear rule
-whose matches can be counted without enumerating them (matching.Counted:
-no ground compartment, no compartment class two slots can share) is one
-local entry, rated by one rate_of call on a single instantiation times
-the summed n; selection descends its slot weights in match order and
-builds only the match that fires, rated its n times that unit rate, as
-rate_of would rate it.  A rule with one match is that match's Outcome.
-Listing expands every Counted into its match classes once per node, so a
-store still lists, and len() counts, one transition per match class.  An
-outcome term is built only when a transition is selected or listed, and
-the node keeps every Outcome it built for every later store that reaches
-it.  A config flag cross-checks every store against an uncached
+the tree by the totals.  A local transition holds its outcome as a match
+(matching.Outcome), whose term is the rule's right-hand side instantiated
+with it.  Under an n-linear law each match is one entry and its term is
+built only when its transition is selected or listed; under any other law
+every match is built when the node is, and matches are grouped by term
+and rated on it.  An n-linear rule whose matches can be counted without
+enumerating them (matching.Counted: no ground compartment, no compartment
+class two slots can share) is one local entry, rated by one rate_of call
+on a single instantiation times the summed n; selection descends its
+slot weights in match order and builds only the match that fires, rated
+its n times that unit rate, as rate_of would rate it.  A rule with one
+match is that match's Outcome.  Listing expands every Counted into its
+match classes once per node, so a store still lists, and len() counts,
+one transition per match class.  The node keeps every Outcome it holds
+and every Counted listing, with their built terms, for every later store
+that reaches it; a Counted builds the match it picks each time it is
+picked.  A config flag cross-checks every store against an uncached
 recomputation.
 
 Nodes and matching's element index share one per-run memo (Memo): nodes
@@ -47,7 +50,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import fsum, inf, isclose, log
+from math import fsum, inf, isclose, isfinite, log
 from random import Random
 from typing import Optional
 
@@ -105,6 +108,8 @@ class SimConfig:
             raise ValueError("max_events must be positive")
         if not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive")
+        if not isfinite(self.sample_dt) or not isfinite((self.t_max or 0) / self.sample_dt):
+            raise ValueError("the sample grid must be finite: sample_dt and t_max / sample_dt")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
 
@@ -233,6 +238,13 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
                 try:
                     # a Counted is rated per instantiation, then times n
                     rate = rate_of(rule.rate, content, outcome, 1 if counted else n_local)
+                    if counted:
+                        outcome.unit_rate = rate
+                        rate *= n_local
+                        if not isfinite(rate):
+                            raise RateEvaluationError(
+                                "nonfinite-rate", f"rate evaluated to {rate}"
+                            )
                 except RateEvaluationError as e:
                     raise SimulationError(
                         f"rule {rule.id} at {path}: {e}",
@@ -240,9 +252,6 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
                         path=path,
                         code=e.code,
                     ) from e
-                if counted:
-                    outcome.unit_rate = rate
-                    rate *= n_local
                 if rate > 0:
                     local.append((i, outcome, n_local, rate))
         children = []
@@ -250,7 +259,15 @@ def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
             child = _node(el.content, rules, memo, path + ((i, 0),))
             if child.count:
                 children.append((i, copies, child))
-        node = memo[content] = _Node(tuple(local), tuple(children))
+        try:
+            node = _Node(tuple(local), tuple(children))
+            if not isfinite(node.total):
+                raise OverflowError
+        except OverflowError:
+            raise SimulationError(
+                f"total rate at {path} is not finite", path=path, code="nonfinite-rate"
+            ) from None
+        memo[content] = node
     return node
 
 

@@ -12,24 +12,22 @@ consumed copies, C(remaining, j): permuting them is invisible in the
 substitution.  Copies of a compartment containing no atoms at all are
 indistinguishable even under labeling and contribute a single choice.
 
-A rule's local outcomes are kept as deltas and not built.  level_matches
-gives each match as its bindings, the (element, count) pairs it consumes
-and its count; the level's own residue stays unbound, while every slot
-level inside binds its residue to what its match leaves there.  The
-rule's produced part (`Rule.produced`) is instantiated with the bindings;
-the outcome is content - consumed + produced.
+An outcome is its match instantiated through the whole right-hand side,
+C[lhs sigma] -> C[rhs sigma].  level_matches gives each match as its
+bindings, the (element, count) pairs it consumes and its count; the
+level's own residue stays unbound, while every slot level inside binds its
+residue to what its match leaves there.  An `Outcome` holds one match and,
+when its term is asked for, binds the residue to content - consumed and
+instantiates the rule's right-hand side once.
 
 How matches become outcomes depends on the rate law.  Under an n-linear
 law (`rates` module docstring) the summed rate into each outcome does not
-depend on how its matches are split, so each match is one entry: it keeps
-its bindings and instantiates its produced part only when its term is
-asked for, which the engine does only for the transition that fires.
-Under any other law the produced part of every match is instantiated and
-matches are grouped by their signed delta produced - consumed: for one
-content, two matches give the same outcome exactly when those deltas are
-equal, so the group counts the instantiations per outcome.  Either way an
-`Outcome` answers count_r from its delta and builds its term once, on
-first use; outcome_terms merges the entries per built term.
+depend on how its matches are split, so each match is one entry, built
+only when its term is asked for, which the engine does only for the
+transition that fires.  Under any other law every match is built and
+matches with equal terms are one outcome, whose n sums their counts, in
+first-match order; count_r reads the built term.  outcome_terms merges
+the entries per built term.
 
 A compartment slot's matches on one compartment element -- bindings with
 the slot level's residue and wrap variable, count and whether they carry
@@ -254,7 +252,7 @@ def counted_matches(rule: Rule, i: int, content: Term, found: dict):
     if count == 1:  # the common case in one-cell models: no Counted needed
         placement = [(cands[0][0],) + cands[0][2][0] for _, _, cands in slots]
         bindings, consumed, n = _placed(lp.atoms, content, factor, {}, placement)
-        return [(Outcome(content, consumed, match=(rule, bindings)), n)]
+        return [(Outcome(rule, content, bindings, consumed), n)]
     return [(Counted(rule, content, factor, slots, n, count), n)]
 
 
@@ -265,18 +263,14 @@ class Counted:
     of rows r_s on elements e_s counts factor * prod(copies(e_s) *
     count(r_s)) and the matches sum to n = factor * prod(W_s), W_s the
     summed weight of slot s's candidates (slots, from slot_candidates).
-    expand lists the matches through level_outcomes, in its order; pick
-    finds one by a count offset, descending the slots in that order, and
-    keeps what it builds under the match's position there.  Once the list
-    exists pick returns its objects, and the list holds what pick built.
-    count is the number of matches.  An n-linear law does not read
-    count_r, so the engine may pass a Counted to rate_of as the outcome; it
-    keeps the rate of one instantiation in unit_rate, and a match of n is
-    rated unit_rate * n, as rate_of rates it."""
+    expand lists the matches once through level_outcomes, in its order;
+    pick finds one by a count offset, descending the slots in that order,
+    and builds it.  count is the number of matches.  An n-linear law does
+    not read count_r, so the engine may pass a Counted to rate_of as the
+    outcome; it keeps the rate of one instantiation in unit_rate, and a
+    match of n is rated unit_rate * n, as rate_of rates it."""
 
-    __slots__ = (
-        "rule", "content", "factor", "slots", "n", "count", "built", "listed", "unit_rate",
-    )
+    __slots__ = ("rule", "content", "factor", "slots", "n", "count", "listed", "unit_rate")
 
     def __init__(self, rule: Rule, content: Term, factor: int, slots: list, n: int, count: int):
         self.rule = rule
@@ -285,52 +279,38 @@ class Counted:
         self.slots = slots
         self.n = n
         self.count = count
-        self.built: dict = {}
         self.listed = None
 
     def pick(self, offset: float) -> tuple:
         """(Outcome, n) of the match whose cumulative count in match order
         first exceeds offset; at or past n (from rounding), the last."""
         unit = self.n  # the count of one unit of weight in the current block
-        position, placement = 0, []
-        for summed, matches, cands in self.slots:
+        placement = []
+        for summed, _, cands in self.slots:
             unit //= summed
-            before = 0  # the slot's rows on earlier candidates
             for idx, copies, rows, weight in cands:
                 if offset < unit * weight:
                     break
                 offset -= unit * weight
-                before += len(rows)
             else:
                 offset = inf
-                before -= len(rows)
             unit *= copies
-            for r, row in enumerate(rows):
+            for row in rows:
                 if offset < unit * row[1]:
                     break
                 offset -= unit * row[1]
             else:
                 offset = inf
             unit *= row[1]
-            position = position * matches + before + r
             placement.append((idx,) + row)
-        if self.listed is not None:
-            return self.listed[position]
-        got = self.built.get(position)
-        if got is None:
-            lp = self.rule.lhs
-            bindings, consumed, n = _placed(lp.atoms, self.content, self.factor, {}, placement)
-            outcome = Outcome(self.content, consumed, match=(self.rule, bindings))
-            got = self.built[position] = (outcome, n)
-        return got
+        lp = self.rule.lhs
+        bindings, consumed, n = _placed(lp.atoms, self.content, self.factor, {}, placement)
+        return Outcome(self.rule, self.content, bindings, consumed), n
 
     def expand(self) -> list:
         """[(Outcome, n)] of every match in match order, listed once."""
         if self.listed is None:
             self.listed = level_outcomes(self.rule, self.content, [c for _, _, c in self.slots])
-            for position, got in self.built.items():
-                self.listed[position] = got
-            self.built = None
         return self.listed
 
 
@@ -343,81 +323,50 @@ def _index_of(content: Term, element) -> int:
 
 
 class Outcome:
-    """One local outcome of a rule at a level content, kept as the delta
-    content - consumed + produced, both canonical (element, count) pairs.
-    While produced is None, match holds (rule, bindings) and the delta is
-    instantiated on first use.  Once the term is built the delta and the
-    bindings are dropped."""
+    """One local outcome of a rule at a level content, held as its match:
+    bindings, with the level's residue unbound, and the (element, count)
+    pairs it consumes.  term binds the residue to what the match leaves,
+    instantiates the whole right-hand side once and keeps the result,
+    dropping the match."""
 
-    __slots__ = ("content", "consumed", "produced", "match", "_term")
+    __slots__ = ("rule", "content", "bindings", "consumed", "_term")
     count = 1  # the transitions it lists, as Counted.count
 
-    def __init__(self, content: Term, consumed: tuple, produced=None, match=None):
+    def __init__(self, rule: Rule, content: Term, bindings: dict, consumed: tuple):
+        self.rule = rule
         self.content = content
+        self.bindings = bindings
         self.consumed = consumed
-        self.produced = produced
-        self.match = match
         self._term = None
 
-    def _instantiate(self):
-        rule, bindings = self.match
-        self.consumed, self.produced = _delta(rule, self.content, bindings, self.consumed)
-        self.match = None
-
     def count_atom_top(self, atom) -> int:
-        """count_r of the outcome, read off the delta or the built term."""
-        if self._term is not None:
-            return self._term.count_atom_top(atom)
-        if self.produced is None:
-            self._instantiate()
-        n = self.content.count_atom_top(atom)
-        n += sum(k for el, k in self.produced if el == atom)
-        return n - sum(k for el, k in self.consumed if el == atom)
+        """count_r of the outcome, read off the built term."""
+        return self.term().count_atom_top(atom)
 
     def term(self) -> Term:
         """The outcome term, built on the first call and kept."""
         if self._term is None:
-            if self.produced is None:
-                self._instantiate()
-            rest = self.content.subtract(self.consumed)
-            self._term = Term._of(_canonical(self.produced + rest.items))
-            self.consumed = self.produced = None
+            self.bindings[self.rule.lhs.residue] = self.content.subtract(self.consumed)
+            self._term = apply_subst(self.rule.rhs, self.bindings)
+            self.rule = self.content = self.bindings = self.consumed = None
         return self._term
 
 
-def _delta(rule: Rule, content: Term, bindings: dict, consumed: tuple) -> tuple:
-    """(consumed, produced) pairs of one match."""
-    if rule.produced is not None:
-        return consumed, apply_subst(rule.produced, bindings).items
-    # the residue is dropped, repeated or nested on the right
-    bindings[rule.lhs.residue] = content.subtract(consumed)
-    return content.items, apply_subst(rule.rhs, bindings).items
-
-
 def level_outcomes(rule: Rule, content: Term, slots=None) -> list:
-    """Local outcomes as unbuilt deltas, in match order, with their
-    instantiation counts.  Under an n-linear law, one entry per match;
-    otherwise matches are grouped by their signed delta produced - consumed,
-    zero entries dropped.  slots is passed to level_matches.  Returns
-    [(Outcome, n)]."""
-    matches = level_matches(rule.lhs, content, slots)
+    """Local outcomes in match order, with their instantiation counts, as
+    [(Outcome, n)].  Under an n-linear law, one unbuilt entry per match;
+    otherwise every match's term is built and matches are grouped by it, in
+    first-match order.  slots is passed to level_matches."""
+    outcomes = [
+        (Outcome(rule, content, bindings, consumed), count)
+        for bindings, consumed, count in level_matches(rule.lhs, content, slots)
+    ]
     if rule.rate.n_linear:
-        return [
-            (Outcome(content, consumed, match=(rule, bindings)), count)
-            for bindings, consumed, count in matches
-        ]
+        return outcomes
     groups: dict = {}
-    for bindings, consumed, count in matches:
-        consumed, produced = _delta(rule, content, bindings, consumed)
-        signed = dict(produced)
-        for el, n in consumed:
-            signed[el] = signed.get(el, 0) - n
-        key = frozenset(p for p in signed.items() if p[1])
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [Outcome(content, consumed, produced), count]
-        else:
-            group[1] += count
+    for outcome, count in outcomes:
+        group = groups.setdefault(outcome.term(), [outcome, 0])
+        group[1] += count
     return [(outcome, n) for outcome, n in groups.values()]
 
 

@@ -227,12 +227,9 @@ class RuleIssue:
 
 @dataclass(eq=False)
 class Rule:
-    """A validated rewrite rule with its compiled left-hand side.
-
-    produced is the right-hand side without the top residue variable when
-    that variable occurs there exactly once and nowhere deeper (every `=>`
-    rule): an outcome is then the matched content minus what the match
-    consumed plus produced instantiated.  It is None for any other shape.
+    """A validated rewrite rule with its compiled left-hand side.  A match
+    rewrites the matched content to rhs instantiated with its bindings, the
+    top residue variable bound to what the match leaves (matching.Outcome).
     """
 
     id: str
@@ -240,7 +237,6 @@ class Rule:
     rhs: OpenTerm
     rate: object
     lhs_open: OpenTerm = field(repr=False, default=None)
-    produced: Optional[OpenTerm] = field(repr=False, default=None)
 
 
 def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1") -> Rule:
@@ -292,10 +288,7 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
         from .rates import MassAction
 
         rate = MassAction(1.0)
-    produced = None
-    if rhs_occurrences.get(level.residue) == 1 and (level.residue, 1) in rhs.items:
-        produced = OpenTerm(p for p in rhs.items if p[0] != level.residue)
-    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs, produced=produced)
+    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs)
 
 
 def _check_kinds(o: OpenTerm, issues: list, side: str):

@@ -138,7 +138,7 @@ def rate_of(spec, t_local: Term, u_local, n: int) -> float:
     """Evaluate a rate law for one transition; n is the instantiation count.
 
     u_local is the outcome: a Term, or anything else with count_atom_top,
-    such as the unbuilt matching.Outcome the engine passes.
+    such as the matching.Outcome or matching.Counted the engine passes.
 
     Mass action computes k * n in a single multiplication.  Nonfinite or
     negative results are rejected.

@@ -68,8 +68,9 @@ def _checked(items: Iterable, kinds, what: str) -> list:
 def _canonical(pairs: Iterable) -> tuple:
     """The canonical form of a multiset: counts of equal elements merged,
     zero counts dropped, pairs sorted by ``_key``.  Of equal elements the
-    last is kept, so an outcome built from produced + rest pairs shares the
-    matched content's objects."""
+    last is kept, so an instantiated right-hand side shares the matched
+    content's objects: a term variable's items come after the right-hand
+    side's own atoms and compartments."""
     merged: dict = {}
     for el, n in pairs:
         if n:

@@ -224,6 +224,25 @@ def test_runtime_error_exit_code(write, tmp_path, capsys):
     assert "rule=r" in err and "division" in err and "time=0.0" in err
 
 
+@pytest.mark.parametrize("init, rule", [
+    ("(m | a) (m | a c)", "(m ~u | a $x) => (m ~u | b $x) @ 1e308"),
+    ("(m | a) (n | a)", "a => b @ 1e308"),
+])
+def test_overflowing_rate_exit_code(write, tmp_path, capsys, init, rule):
+    path = write(f"init {init}\nrule r: {rule}\ntmax 5\n")
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "time=0.0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--tmax", "inf", "--maxevents", "5"], ["--sample", "inf"]])
+def test_sample_grid_that_is_not_finite_is_config_error(write, tmp_path, capsys, flags):
+    path = write(DEATH)
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")] + flags) == 1
+    assert "sample grid must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_horizon_is_config_error(write, tmp_path, capsys):
     path = write("init a\nrule r: a => a @ 1\n")
     assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 1

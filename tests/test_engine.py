@@ -281,6 +281,10 @@ def test_config_validation():
         SimConfig(max_events=0)
     with pytest.raises(ValueError):
         SimConfig(t_max=1.0, replicates=0)
+    # sample grids that are not finite
+    for t_max, sample_dt in [(math.inf, 1.0), (1e300, 1e-300), (1.0, math.inf), (None, math.inf)]:
+        with pytest.raises(ValueError):
+            SimConfig(t_max=t_max, max_events=5, sample_dt=sample_dt)
 
 
 def test_event_log_records_rule_and_path():
@@ -363,6 +367,25 @@ def test_rate_error_in_the_initial_state_carries_trajectory():
     assert t.status == "error" and t.events == 0 and t.final_time == 0.0
     assert t.final_state == m.init and t.times == () and t.samples == ()
     assert t.observable_names == ("as",)
+
+
+CELL_RULE = "(m ~u | a $x) => (m ~u | b $x) @ 1e308"
+
+
+@pytest.mark.parametrize("rule, init", [
+    (CELL_RULE, "(m | a) (m | a c)"),  # one counted entry of n = 2
+    (CELL_RULE, "(m | a) (m | a)"),  # the same, folded: one match of n = 2
+    ("a => b @ 1e308", "(m | a) (n | a)"),  # each level finite, their sum not
+])
+def test_an_overflowing_rate_is_a_simulation_error(rule, init):
+    m = model_of(f"init {init}\nrule r: {rule}\nobserve as: a in top\n")
+    with pytest.raises(SimulationError) as exc:
+        run(m, SimConfig(t_max=5.0))
+    e = exc.value
+    assert e.code == "nonfinite-rate" and e.path == () and e.time == 0.0
+    assert e.rule_id == ("r" if rule == CELL_RULE else None)
+    t = e.trajectory
+    assert t.status == "error" and t.events == 0 and t.final_state == m.init
 
 
 @pytest.mark.parametrize("law", ["1", "fn(n * n)", "fn(1)", "fn(count_l(a))"])

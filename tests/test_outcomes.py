@@ -1,7 +1,9 @@
-"""Lazy outcomes: the store rates every match from its consumed/produced
-delta and builds an outcome term only when a transition is selected or
-listed.  Checked against an eager per-level enumeration that builds every
-outcome, and against the labeled-enumeration oracle."""
+"""Outcomes as matches: an outcome is its match instantiated through the
+whole right-hand side.  Under an n-linear law the store builds an outcome
+term only when a transition is selected or listed; under any other law it
+builds every match and groups them by term.  Checked against an eager
+per-level enumeration that builds every outcome, and against the
+labeled-enumeration oracle."""
 import dataclasses
 import importlib.resources
 import random
@@ -145,24 +147,25 @@ def only(rule_text: str, state_text: str) -> tuple:
     return rule, [(t.outcome_local, t.n, t.rate) for t in top]
 
 
+# the residue dropped, repeated and nested, under an n-linear law and under
+# one whose matches are grouped by outcome term
 @pytest.mark.parametrize("rule_text, state_text, want", [
     ("a $X -> b @ 1", "a a b (m | c)", [("b", 2, 2.0)]),
     ("a $X -> $X $X @ 1", "a a b", [("a a b b", 2, 2.0)]),
     ("a $X -> (m | $X) @ 1", "a b", [("(m | b)", 1, 1.0)]),
+    ("a $X -> b @ fn(n * n)", "a a b (m | c)", [("b", 2, 4.0)]),
+    ("a $X -> $X $X @ fn(n * n)", "a a b", [("a a b b", 2, 4.0)]),
+    ("a $X -> (m | $X) @ fn(n * n)", "a b", [("(m | b)", 1, 1.0)]),
 ])
 def test_residue_dropped_repeated_or_nested(rule_text, state_text, want):
-    rule, got = only(rule_text, state_text)
-    assert rule.produced is None  # the whole content is consumed
+    _, got = only(rule_text, state_text)
     assert got == [(parse_term(o), n, rate) for o, n, rate in want]
 
 
-def test_cancelling_delta_rates_count_r_like_the_built_outcome():
+def test_atoms_consumed_and_produced_again_count_in_count_r():
     rule, got = only("a b $X -> a c $X @ fn(count_r(a) + count_r(c))", "a a b c")
-    assert rule.produced is not None
     assert got == [(parse_term("a a c c"), 2, 4.0)]
-    # a is consumed and produced again: its net change is 0
     (outcome, _), = level_outcomes(rule, parse_term("a a b c"))
-    assert outcome._term is None
     assert [outcome.count_atom_top(Atom(x)) for x in "abcd"] == [2, 0, 2, 0]
 
 
@@ -176,9 +179,8 @@ def test_symmetric_substitutions_group_into_one_outcome():
     assert got == [(parse_term("(m | b p) (m | b q)"), 2, 4.0)]
 
 
-def test_untouched_copies_cancel_out_of_the_delta():
-    # a cell read and written back unchanged is consumed and produced: its
-    # net change is 0, so either cell as the catalyst gives one outcome
+def test_a_cell_written_back_unchanged_gives_one_outcome_either_way():
+    # either cell as the catalyst gives the same outcome term
     _, got = only("(m ~u | $x) $z -> (m ~u | $x) c $z @ fn(n * n)", "(m | p) (m | q)")
     assert got == [(parse_term("c (m | p) (m | q)"), 2, 4.0)]
 
@@ -211,7 +213,7 @@ def test_n_linear_classification(law, linear):
     assert parse_rule(f"a $X -> b $X @ {law}").rate.n_linear is linear
 
 
-def test_a_run_instantiates_about_one_produced_part_per_event(monkeypatch):
+def test_a_run_instantiates_about_one_right_hand_side_per_event(monkeypatch):
     calls = []
 
     def counted(*args):
