@@ -12,8 +12,8 @@ mismatch or a cross-check disagreement), 2 I/O or usage problem, 3 runtime
 simulation error.
 
 Run settings come, in order of precedence, from command-line flags, model
-file directives, the CWC_SEED environment variable (seed only), and the
-defaults (seed 0, sample 1.0, replicates 1).
+file directives, the CWC_SEED environment variable (seed only), and
+SimConfig's defaults.
 """
 from __future__ import annotations
 
@@ -149,38 +149,25 @@ def _apply_overrides(init: Term, overrides, parser) -> Term:
 
 
 def _build_config(args, directives) -> SimConfig:
-    seed = args.seed
-    if seed is None:
-        seed = directives.seed
-    if seed is None:
-        env = os.environ.get("CWC_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                print(f"error: CWC_SEED must be an integer, got {env!r}",
-                      file=sys.stderr)
-                raise _Exit(2)
-    if seed is None:
-        seed = 0
-
-    t_max = args.tmax if args.tmax is not None else directives.tmax
-    max_events = (
-        args.maxevents if args.maxevents is not None else directives.maxevents
-    )
-    sample = args.sample if args.sample is not None else directives.sample
-    replicates = (
-        args.replicates if args.replicates is not None else directives.replicates
-    )
+    """The run settings: each from its flag, else from the model's
+    directive, else (the seed only) from CWC_SEED; SimConfig holds the
+    default of every setting none of these set."""
+    settings = {}
+    for field, name in (("t_max", "tmax"), ("max_events", "maxevents"), ("seed", "seed"),
+                        ("sample_dt", "sample"), ("replicates", "replicates")):
+        value = getattr(args, name)
+        value = getattr(directives, name) if value is None else value
+        if value is not None:
+            settings[field] = value
+    env = os.environ.get("CWC_SEED")
+    if "seed" not in settings and env is not None:
+        try:
+            settings["seed"] = int(env)
+        except ValueError:
+            print(f"error: CWC_SEED must be an integer, got {env!r}", file=sys.stderr)
+            raise _Exit(2)
     try:
-        return SimConfig(
-            t_max=t_max,
-            max_events=max_events,
-            seed=seed,
-            sample_dt=sample if sample is not None else 1.0,
-            replicates=replicates if replicates is not None else 1,
-            cross_check=args.cross_check,
-        )
+        return SimConfig(cross_check=args.cross_check, **settings)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         raise _Exit(1)

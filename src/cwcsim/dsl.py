@@ -26,6 +26,10 @@ are `@ k` (mass action) or `@ fn(expr)` with `n`, `count_l(atom)`,
 The item keywords (init, rule, observe, tmax, seed, sample, maxevents,
 replicates) are reserved and cannot name atoms or variables; that is what
 makes recovery to the next item well defined after a syntax error.
+Compartments nest at most terms.MAX_DEPTH deep; a deeper `(` is a
+nesting-too-deep diagnostic.  A rule is judged by pattern.validate_rule
+alone, and the parser places each issue in the source: a repeated variable
+at its second occurrence, any other at its variable's first.
 """
 from __future__ import annotations
 
@@ -39,16 +43,14 @@ from .pattern import (
     OpenCompartment,
     OpenTerm,
     RuleValidationError,
-    TERM,
     Variable,
     ground_term,
     term_var,
-    vars_of,
     validate_rule,
     wrap_var,
 )
 from .rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num
-from .terms import Atom, Compartment, Observable, Scope, Term
+from .terms import MAX_DEPTH, Atom, Compartment, Observable, Scope, Term
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ class _Parser:
     # repeats an atom and every variable is reported where it is met.
     # Otherwise spans maps each rule variable to the tokens it occurs at.
 
-    def term(self, spans: Optional[dict]) -> OpenTerm:
+    def term(self, spans: Optional[dict], depth: int = 0) -> OpenTerm:
         if self.cur.kind == "*":
             self.advance()
             return OpenTerm()
@@ -235,7 +237,7 @@ class _Parser:
                 # a wrap variable here is a kind misuse; validate_rule reports it
                 self.variable(tok, spans, items)
             elif tok.kind == "(":
-                items.append(self.compartment(spans))
+                items.append(self.compartment(spans, depth + 1))
             else:
                 break
         if not items:
@@ -260,8 +262,10 @@ class _Parser:
         spans.setdefault(v, []).append(tok)
         out.append(v)
 
-    def compartment(self, spans: Optional[dict]) -> OpenCompartment:
-        self.expect("(", "'('")
+    def compartment(self, spans: Optional[dict], depth: int) -> OpenCompartment:
+        tok = self.expect("(", "'('")
+        if depth > MAX_DEPTH:
+            self.fail(tok, f"compartments nest more than {MAX_DEPTH} deep", "nesting-too-deep")
         wrap_atoms = []
         wrap_vars = []
         while True:
@@ -274,7 +278,7 @@ class _Parser:
             else:
                 break
         self.expect("|", "'|' between wrap and content")
-        content = self.term(spans)
+        content = self.term(spans, depth)
         self.expect(")", "')'")
         return OpenCompartment(wrap_atoms, wrap_vars, content)
 
@@ -340,7 +344,7 @@ class _Parser:
         self.fail(tok, f"expected a rate expression, got {tok.describe()}")
 
 
-def _fresh_residue(taken: set) -> Variable:
+def _fresh_residue(taken: dict) -> Variable:
     name = "_W"
     i = 1
     while term_var(name) in taken:
@@ -414,16 +418,15 @@ class _ModelBuilder:
         self.rule_names[name.text] = name
         p.expect(":", "':' after the rule name")
 
-        lhs_spans: dict = {}
-        rhs_spans: dict = {}
+        spans: dict = {}  # the left side's tokens come first
         is_wrap = p.cur.kind == "name" and p.cur.text == "wrap"
         if is_wrap:
             p.advance()
-        lhs = p.term(lhs_spans)
+        lhs = p.term(spans)
         if p.cur.kind not in ("->", "=>"):
             p.fail(p.cur, f"expected '->' or '=>', got {p.cur.describe()}")
         arrow = p.advance()
-        rhs = p.term(rhs_spans)
+        rhs = p.term(spans)
         rate = p.rate()
 
         if is_wrap:
@@ -433,40 +436,30 @@ class _ModelBuilder:
                 return
             lhs, rhs = _expand_wrap_rule(lhs_pairs, rhs_pairs)
         elif arrow.kind == "=>":
-            residue = _fresh_residue(vars_of(lhs) | vars_of(rhs))
+            residue = _fresh_residue(spans)
             lhs = lhs.union(OpenTerm([residue]))
             rhs = rhs.union(OpenTerm([residue]))
-
-        # report nonlinearity at the repeated occurrence itself
-        for v, occs in lhs_spans.items():
-            if len(occs) > 1:
-                extra = occs[1]
-                self.diags.append(
-                    Diagnostic(
-                        extra.line, extra.col,
-                        f"variable {extra.describe()} occurs more than once "
-                        "in the left-hand side",
-                        "nonlinear-pattern",
-                    )
-                )
 
         try:
             rule = validate_rule(lhs, rhs, rate=rate, rule_id=name.text)
         except RuleValidationError as e:
+            # a nonlinear variable at its second occurrence, these first and in
+            # source order; any other issue at its variable's first occurrence
+            first = list(spans)
+            for issue in sorted((i for i in e.issues if i.code == "nonlinear-pattern"),
+                                key=lambda i: first.index(i.variable)):
+                tok = spans[issue.variable][1]
+                self.diags.append(Diagnostic(
+                    tok.line, tok.col,
+                    f"variable {tok.describe()} occurs more than once in the left-hand side",
+                    issue.code,
+                ))
             for issue in e.issues:
-                if issue.code == "nonlinear-pattern" and len(
-                    lhs_spans.get(issue.variable, ())
-                ) > 1:
-                    continue  # already reported at the second occurrence
-                tok = name
-                for side in (lhs_spans, rhs_spans):
-                    if issue.variable is not None and side.get(issue.variable):
-                        tok = side[issue.variable][0]
-                        break
-                self.diags.append(
-                    Diagnostic(tok.line, tok.col,
-                               f"rule '{name.text}': {issue.message}", issue.code)
-                )
+                if issue.code != "nonlinear-pattern":
+                    tok = spans[issue.variable][0] if issue.variable in spans else name
+                    self.diags.append(Diagnostic(
+                        tok.line, tok.col, f"rule '{name.text}': {issue.message}", issue.code
+                    ))
             return
         self.rules.append(rule)
 
@@ -570,9 +563,7 @@ def parse_rule(text: str, rule_id: str = "r"):
 
 
 def _word(el) -> str:
-    if type(el) is Variable:
-        return ("$" if el.kind == TERM else "~") + el.name
-    return el.name
+    return str(el) if type(el) is Variable else el.name
 
 
 def format_term(t) -> str:

@@ -48,7 +48,6 @@ equal subterms.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import fsum, inf, isclose, isfinite, log
 from random import Random
@@ -57,7 +56,7 @@ from typing import Optional
 from .errors import CwcError
 from .matching import Counted, counted_matches, level_outcomes, slot_candidates
 from .rates import RateEvaluationError, rate_of
-from .terms import Path, Term, count_atom, replace_at, shared
+from .terms import MAX_DEPTH, Path, Term, count_atom, replace_at, shared
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class SimConfig:
     sample_dt: float = 1.0
     replicates: int = 1
     max_term_size: int = 1_000_000
-    max_depth: int = 256
+    max_depth: int = MAX_DEPTH
     cross_check: bool = False
     log_events: bool = False
 
@@ -112,6 +111,8 @@ class SimConfig:
             raise ValueError("the sample grid must be finite: sample_dt and t_max / sample_dt")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.max_depth > MAX_DEPTH:
+            raise ValueError(f"max_depth must be at most the nesting bound {MAX_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -451,7 +452,8 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
             samples=tuple(rows),
             observable_names=tuple(o.name for o in observables),
             status=status,
-            final_state=shared(state),
+            # an error state may be too deep for shared's recursion
+            final_state=state if status == "error" else shared(state),
             final_time=t,
             events=events,
             cross_check_failures=failures,
@@ -504,6 +506,8 @@ def run_replicates(model, cfg: SimConfig, jobs: int = 1) -> list:
     tasks = [(model, cfg, i) for i in range(cfg.replicates)]
     if jobs == 1 or cfg.replicates == 1:
         return [run(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # so importing cwcsim loads no pool
+
     # the fork start method launches every worker at once
     with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
         return [

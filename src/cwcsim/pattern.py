@@ -4,7 +4,8 @@ Patterns are linear open terms of a restricted shape: every level of the
 left-hand side carries exactly one residue term variable, and every
 non-ground compartment on the left carries exactly one wrap variable next
 to its wrap atoms.  The right-hand side is an arbitrary open term over the
-left-hand side's variables.
+left-hand side's variables.  validate_rule alone judges a rule against this
+discipline, in one walk of each side and a compile of the left.
 """
 from __future__ import annotations
 
@@ -40,9 +41,11 @@ class Variable:
     def __hash__(self):
         return self._hash
 
+    def __str__(self):
+        return ("$" if self.kind == TERM else "~") + self.name
+
     def __repr__(self):
-        sigil = "$" if self.kind == TERM else "~"
-        return f"Variable({sigil}{self.name})"
+        return f"Variable({self})"
 
 
 def term_var(name: str) -> Variable:
@@ -134,9 +137,7 @@ def ground_term(o: OpenTerm) -> Term:
 
 def vars_of(o: OpenTerm) -> set:
     """All variables occurring in an open term."""
-    occurrences: dict = {}
-    _count_occurrences(o, occurrences)
-    return set(occurrences)
+    return set(_occurrences(o, [], ""))
 
 
 class SubstitutionError(CwcError):
@@ -179,9 +180,8 @@ def _lookup(subst: Mapping, v: Variable):
     try:
         return subst[v]
     except KeyError:
-        sigil = "$" if v.kind == TERM else "~"
         raise SubstitutionError(
-            "unbound-variable", f"no value for variable {sigil}{v.name}"
+            "unbound-variable", f"no value for variable {v}"
         ) from None
 
 
@@ -240,25 +240,24 @@ class Rule:
 
 
 def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1") -> Rule:
-    """Check a rule against the pattern grammar and variable discipline.
+    """Check a rule against the pattern grammar and variable discipline; the
+    one judge of a rule, which the model parser only places in the source.
 
     Every violation found is reported; the exception carries the full issue
-    list (nonlinear-pattern, unbound-variable, malformed-pattern,
-    kind-mismatch, empty-pattern).
+    list in this order: kind-mismatch (left side, then right),
+    nonlinear-pattern, malformed-pattern, empty-pattern, unbound-variable.
+    A variable is nonlinear when it occurs more than once on the left, a
+    repeated compartment pattern counting its variables once per copy.
     """
     issues: list = []
-    _check_kinds(lhs, issues, "left-hand side")
-    _check_kinds(rhs, issues, "right-hand side")
-
-    occurrences: dict = {}
-    _count_occurrences(lhs, occurrences)
+    occurrences = _occurrences(lhs, issues, "left-hand side")
+    rhs_occurrences = _occurrences(rhs, issues, "right-hand side")
     for v, n in occurrences.items():
         if n > 1:
-            sigil = "$" if v.kind == TERM else "~"
             issues.append(
                 RuleIssue(
                     "nonlinear-pattern",
-                    f"variable {sigil}{v.name} occurs {n} times in the left-hand side",
+                    f"variable {v} occurs {n} times in the left-hand side",
                     v,
                 )
             )
@@ -269,15 +268,12 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
             RuleIssue("empty-pattern", "left-hand side consumes nothing", None)
         )
 
-    rhs_occurrences: dict = {}
-    _count_occurrences(rhs, rhs_occurrences)
     unbound = set(rhs_occurrences) - set(occurrences)
     for v in sorted(unbound, key=lambda v: (v.kind, v.name)):
-        sigil = "$" if v.kind == TERM else "~"
         issues.append(
             RuleIssue(
                 "unbound-variable",
-                f"variable {sigil}{v.name} is not bound by the left-hand side",
+                f"variable {v} is not bound by the left-hand side",
                 v,
             )
         )
@@ -291,37 +287,36 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
     return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs)
 
 
-def _check_kinds(o: OpenTerm, issues: list, side: str):
-    for el, _ in o.items:
-        if type(el) is Variable and el.kind != TERM:
-            issues.append(
-                RuleIssue(
-                    "kind-mismatch",
-                    f"wrap variable ~{el.name} used in content position ({side})",
-                    el,
+def _occurrences(o: OpenTerm, issues: list, side: str, copies: int = 1, acc=None) -> dict:
+    """Each variable's occurrences in o, inside a compartment pattern once
+    per copy of it; reports every variable of the wrong kind for its
+    position (content or wrap) to issues."""
+    acc = {} if acc is None else acc
+    for el, n in o.items:
+        n *= copies
+        if type(el) is Variable:
+            acc[el] = acc.get(el, 0) + n
+            if el.kind != TERM:
+                issues.append(
+                    RuleIssue(
+                        "kind-mismatch",
+                        f"wrap variable {el} used in content position ({side})",
+                        el,
+                    )
                 )
-            )
         elif type(el) is OpenCompartment:
-            for v, _ in el.wrap_vars:
+            for v, k in el.wrap_vars:
+                acc[v] = acc.get(v, 0) + k * n
                 if v.kind != WRAP:
                     issues.append(
                         RuleIssue(
                             "kind-mismatch",
-                            f"term variable ${v.name} used on a wrap ({side})",
+                            f"term variable {v} used on a wrap ({side})",
                             v,
                         )
                     )
-            _check_kinds(el.content, issues, side)
-
-
-def _count_occurrences(o: OpenTerm, acc: dict):
-    for el, n in o.items:
-        if type(el) is Variable:
-            acc[el] = acc.get(el, 0) + n
-        elif type(el) is OpenCompartment:
-            for v, k in el.wrap_vars:
-                acc[v] = acc.get(v, 0) + k * n
-            _count_occurrences(el.content, acc)
+            _occurrences(el.content, issues, side, n, acc)
+    return acc
 
 
 def _compile_level(o: OpenTerm, issues: list, where: str) -> Optional[LevelPattern]:

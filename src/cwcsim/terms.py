@@ -248,6 +248,12 @@ class Term:
 
 EMPTY = Term()
 
+# The deepest compartment nesting that every recursive walk of a term (the
+# parser, the engine's node builder, shared) handles within Python's default
+# recursion limit.  The parser rejects deeper terms, and SimConfig.max_depth
+# may not exceed it.
+MAX_DEPTH = 256
+
 
 # Every live term and compartment passed through shared, by key.  One table
 # per process, so that the results of separate runs share; it holds its

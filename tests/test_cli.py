@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output formats, CSV files."""
+import dataclasses
 import filecmp
 import json
 import re
@@ -10,6 +11,7 @@ import pytest
 import cwcsim.cli as cli
 import cwcsim.engine as engine
 from cwcsim.cli import main
+from cwcsim.terms import MAX_DEPTH
 
 DEATH = (
     "init a * 10\n"
@@ -175,6 +177,30 @@ def test_seed_precedence(write, tmp_path, monkeypatch):
     assert run_csv([plain], "s7") == run_csv([plain, "--seed", "0"], "s8")
 
 
+def test_unset_settings_take_simconfig_defaults(write, tmp_path, monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Config(engine.SimConfig):
+        sample_dt: float = 0.5
+        replicates: int = 3
+
+    monkeypatch.setattr(cli, "SimConfig", Config)
+    out = tmp_path / "o"
+    assert main(["run", write(DEATH), "--jobs", "1", "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aggregate.csv", "rep_000.csv", "rep_001.csv", "rep_002.csv"]
+    times = [row.split(",")[0] for row in (out / "rep_000.csv").read_text().splitlines()[1:]]
+    assert times == ["0.0", "0.5", "1.0", "1.5", "2.0", "2.5", "3.0", "3.5", "4.0"]
+
+
+@pytest.mark.parametrize("command, depth", [("validate", 1200), ("run", 400)])
+def test_too_deep_init_is_a_model_error(write, tmp_path, capsys, command, depth):
+    path = write("init " + "(m | " * depth + "a" + ")" * depth + "\ntmax 1\n")
+    args = [command, path] + (["--out-dir", str(tmp_path / "o")] if command == "run" else [])
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:{6 + 5 * MAX_DEPTH}: compartments nest more than {MAX_DEPTH} deep\n")
+
+
 def test_bad_env_seed(write, tmp_path, monkeypatch, capsys):
     path = write(DEATH)
     monkeypatch.setenv("CWC_SEED", "ten")
@@ -247,6 +273,13 @@ def test_missing_horizon_is_config_error(write, tmp_path, capsys):
     path = write("init a\nrule r: a => a @ 1\n")
     assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert "horizon" in capsys.readouterr().err
+
+
+def test_importing_loads_no_process_pool():
+    code = ("import sys, cwcsim, cwcsim.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point(write):

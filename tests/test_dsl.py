@@ -15,7 +15,7 @@ from cwcsim import (
 from cwcsim.dsl import format_rule
 from cwcsim.matching import outcome_terms
 from cwcsim.rates import MassAction
-from cwcsim.terms import EMPTY, Atom, Scope
+from cwcsim.terms import EMPTY, MAX_DEPTH, Atom, Scope
 from tests.test_terms import terms
 
 
@@ -94,6 +94,51 @@ def test_diagnostic_positions():
     except ModelError as e:
         err = e
     assert "m.cwc:2:14:" in str(err)
+
+
+@pytest.mark.parametrize("rule, expected", [
+    ("a $X $X -> ~y $Y @ 1", [
+        (14, "nonlinear-pattern", "variable '$X' occurs more than once in the left-hand side"),
+        (20, "kind-mismatch",
+         "rule 'r': wrap variable ~y used in content position (right-hand side)"),
+        (6, "malformed-pattern",
+         "rule 'r': top level needs exactly one residue term variable, found 2"),
+        (23, "unbound-variable", "rule 'r': variable $Y is not bound by the left-hand side"),
+        (20, "unbound-variable", "rule 'r': variable ~y is not bound by the left-hand side"),
+    ]),
+    ("(b ~x | $X) (b ~x | $X) $Z -> $Z @ 1", [
+        (24, "nonlinear-pattern", "variable '~x' occurs more than once in the left-hand side"),
+        (29, "nonlinear-pattern", "variable '$X' occurs more than once in the left-hand side"),
+    ]),
+    # source order ($Z first) differs from the pattern's canonical order ($Y first)
+    ("$Z (m ~x | $X $Y) $Y (n ~y | $Z) -> $W @ 1", [
+        (38, "nonlinear-pattern", "variable '$Z' occurs more than once in the left-hand side"),
+        (27, "nonlinear-pattern", "variable '$Y' occurs more than once in the left-hand side"),
+        (6, "malformed-pattern",
+         "rule 'r': compartment at top level needs exactly one residue term variable, found 2"),
+        (6, "malformed-pattern",
+         "rule 'r': top level needs exactly one residue term variable, found 2"),
+        (45, "unbound-variable", "rule 'r': variable $W is not bound by the left-hand side"),
+    ]),
+])
+def test_every_rule_issue_placed_in_order(rule, expected):
+    ds = diags_of(f"init a\nrule r: {rule}\n")
+    assert [(d.col, d.code, d.message) for d in ds] == expected
+    assert {d.line for d in ds} == {2}
+
+
+def _nested(depth: int) -> str:
+    return "(m | " * depth + "a" + ")" * depth
+
+
+def test_nesting_is_bounded():
+    assert parse_term(_nested(MAX_DEPTH)).depth == MAX_DEPTH
+    d, = diags_of(f"init b {_nested(MAX_DEPTH + 1)}\nrule r: a => b @ 1\n")
+    assert (d.line, d.col, d.code) == (1, 8 + 5 * MAX_DEPTH, "nesting-too-deep")
+    assert d.message == f"compartments nest more than {MAX_DEPTH} deep"
+    # the bound holds in rules too, and recovery goes on to the next item
+    ds = diags_of(f"init a\nrule r: {_nested(1000)} => b @ 1\nrule s: a $X -> $Y @ 1\n")
+    assert [(d.line, d.code) for d in ds] == [(2, "nesting-too-deep"), (3, "unbound-variable")]
 
 
 def test_ground_positions_share_the_rule_grammar():

@@ -1,5 +1,6 @@
 """Simulation engine: draw discipline, sampling grid, statuses, incremental
 transition maintenance."""
+import concurrent.futures
 import importlib.resources
 import math
 from random import Random
@@ -18,7 +19,7 @@ from cwcsim import (
 )
 from cwcsim import engine
 from cwcsim.engine import TransitionStore, derive_seed, incremental_retransitions, step
-from cwcsim.terms import Compartment, replace_at
+from cwcsim.terms import MAX_DEPTH, Atom, Compartment, Term, replace_at, shared
 from tests.conftest import gen_rule, gen_term, instantiate_lhs
 
 
@@ -208,7 +209,7 @@ class InProcessPool:
 @pytest.mark.parametrize("jobs, replicates, workers", [(8, 2, 2), (2, 5, 2), (3, 3, 3)])
 def test_pool_has_no_more_workers_than_replicates(monkeypatch, jobs, replicates, workers):
     # the fork start method launches every worker at once
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "created", [])
     m = model_of("init a * 20\nrule death: a => * @ 0.4\nobserve live: a in top\n")
     cfg = SimConfig(t_max=4.0, seed=9, replicates=replicates)
@@ -223,7 +224,7 @@ PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_finished_runs_share_equal_subterms(monkeypatch, jobs):
     # trajectories kept side by side hold each distinct cell once
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     text = importlib.resources.files("cwcsim").joinpath("models/pho.cwc").read_text()
     init = "Pi*40 " + " ".join([PHO_CELL] * 4)
     m = model_of(f"init {init}\nrule " + text.split("\nrule ", 1)[1])
@@ -268,6 +269,39 @@ def test_depth_limit_stops_nesting():
         run(m, SimConfig(max_events=100, max_depth=4))
     assert exc.value.code == "resource-limit-exceeded"
     assert exc.value.rule_id == "nest"
+
+
+def _nested(depth: int) -> Term:
+    t = Term([Atom("a")])
+    for _ in range(depth):
+        t = Term([Compartment([Atom("m")], t)])
+    return t
+
+
+def test_max_depth_is_bounded_by_the_walks():
+    assert SimConfig(max_events=1).max_depth == MAX_DEPTH
+    with pytest.raises(ValueError, match="max_depth"):
+        SimConfig(max_events=400, max_depth=5000)
+
+
+def test_too_deep_init_fails_with_its_trajectory():
+    m = Model(_nested(400), model_of("init a\nrule r: a => b @ 1\n").rules)
+    with pytest.raises(SimulationError) as exc:
+        run(m, SimConfig(max_events=10))
+    e = exc.value
+    assert (e.code, e.time, e.rule_id) == ("resource-limit-exceeded", 0.0, None)
+    assert e.trajectory.status == "error" and e.trajectory.final_state == m.init
+
+
+def test_deepest_supported_state_runs():
+    text = "init " + "(m | " * MAX_DEPTH + "a" + ")" * MAX_DEPTH + "\nrule r: a => b @ 1\n"
+    m = model_of(text)
+    assert m.init == _nested(MAX_DEPTH)
+    transitions = enumerate_transitions(m.init, m.rules)
+    assert [(t.rule_id, len(t.path)) for t in transitions] == [("r", MAX_DEPTH)]
+    traj = run(m, SimConfig(max_events=5))
+    assert (traj.status, traj.events, traj.final_state.depth) == ("deadlock", 1, MAX_DEPTH)
+    assert shared(traj.final_state) is traj.final_state
 
 
 def test_config_validation():

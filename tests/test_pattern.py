@@ -73,6 +73,12 @@ def test_nonlinear_lhs():
         Z,
     ])
     assert "nonlinear-pattern" in codes_of(lhs, OpenTerm([Z]))
+    # a repeated compartment pattern repeats every variable inside it
+    lhs = OpenTerm([(OpenCompartment([A("b")], [x], OpenTerm([X])), 2), Z])
+    with pytest.raises(RuleValidationError) as exc:
+        validate_rule(lhs, OpenTerm([Z]))
+    assert [(i.code, i.variable) for i in exc.value.issues] == [
+        ("nonlinear-pattern", x), ("nonlinear-pattern", X)]
 
 
 def test_unbound_rhs_variable():
