@@ -12,7 +12,7 @@ submodule (terms, pattern, matching, oracle, rates, engine, dsl).
 
 from .errors import CwcError
 from .terms import Term
-from .oracle import count_oracle, oracle_total
+from .oracle import oracle_outcomes
 from .engine import (
     Model,
     SimConfig,
@@ -30,5 +30,5 @@ __all__ = [
     "Model", "SimConfig", "Trajectory", "SimulationError", "CwcError",
     "run", "run_replicates", "enumerate_transitions",
     "parse_model", "parse_term", "parse_rule", "ModelError",
-    "format_term", "format_path", "Term", "count_oracle", "oracle_total",
+    "format_term", "format_path", "Term", "oracle_outcomes",
 ]

@@ -26,10 +26,11 @@ are `@ k` (mass action) or `@ fn(expr)` with `n`, `count_l(atom)`,
 The item keywords (init, rule, observe, tmax, seed, sample, maxevents,
 replicates) are reserved and cannot name atoms or variables; that is what
 makes recovery to the next item well defined after a syntax error.
-Compartments nest at most terms.MAX_DEPTH deep; a deeper `(` is a
-nesting-too-deep diagnostic.  A rule is judged by pattern.validate_rule
-alone, and the parser places each issue in the source: a repeated variable
-at its second occurrence, any other at its variable's first.
+Compartments, and parentheses in a rate expression, nest at most
+terms.MAX_DEPTH deep; a deeper `(` is a nesting-too-deep diagnostic.  A
+rule is judged by pattern.validate_rule alone, and the parser places each
+issue in the source: a repeated variable at its second occurrence, any
+other at its variable's first.
 """
 from __future__ import annotations
 
@@ -307,28 +308,30 @@ class _Parser:
             self.fail(tok, f"number out of range: '{tok.text}'")
         return value
 
-    def rate_expr(self):
-        left = self.rate_term()
+    def rate_expr(self, depth: int = 0):
+        left = self.rate_term(depth)
         while self.cur.kind in ("+", "-"):
             op = self.advance().kind
-            left = BinOp(op, left, self.rate_term())
+            left = BinOp(op, left, self.rate_term(depth))
         return left
 
-    def rate_term(self):
-        left = self.rate_factor()
+    def rate_term(self, depth: int):
+        left = self.rate_factor(depth)
         while self.cur.kind in ("*", "/"):
             op = self.advance().kind
-            left = BinOp(op, left, self.rate_factor())
+            left = BinOp(op, left, self.rate_factor(depth))
         return left
 
-    def rate_factor(self):
+    def rate_factor(self, depth: int):
         tok = self.cur
         if tok.kind == "number":
             self.advance()
             return Num(self.number_value(tok))
         if tok.kind == "(":
             self.advance()
-            expr = self.rate_expr()
+            if depth == MAX_DEPTH:
+                self.fail(tok, f"parentheses nest more than {MAX_DEPTH} deep", "nesting-too-deep")
+            expr = self.rate_expr(depth + 1)
             self.expect(")", "')'")
             return expr
         if tok.kind == "name":

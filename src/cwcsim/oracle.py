@@ -1,25 +1,24 @@
 """Brute-force match counting over completely labeled terms.
 
-This module answers one question by literal enumeration: given a rule, a
-matched content term, and an outcome, how many distinct instantiations of
-the rule's variables with labeled values produce that outcome?  Every atom
-occurrence in the content receives a unique label per species; the
-enumeration walks occurrences one at a time, collects whole substitutions
-into a set (so choices that only relabel the pattern's own atoms collapse),
-and filters by the erased outcome.
+This module answers one question by literal enumeration: given a rule and a
+matched content term, what are the outcomes, and how many distinct
+instantiations of the rule's variables with labeled values produce each?
+Every atom occurrence in the content receives a unique label per species;
+one enumeration per level walks occurrences one at a time, collects whole
+substitutions into a set (so choices that only relabel the pattern's own
+atoms collapse), erases each one's right-hand side and groups the outcomes.
 
-It is deliberately naive and bounded; the fast combinatorial counter is
-checked against it.
+It is deliberately naive and bounded by fixed limits on atom occurrences
+and depth; the fast combinatorial counter is checked against it.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from random import Random
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import CwcError
 from .pattern import OpenCompartment, OpenTerm, Rule, Variable
-from .terms import Atom, Compartment, Term, bag_total
+from .terms import Atom, Compartment, Term, _canonical, bag_total
 
 # Labeled values are plain sorted tuples:
 #   atom        ("a", name, label)
@@ -27,8 +26,12 @@ from .terms import Atom, Compartment, Term, bag_total
 #                                     content a sorted tuple of labeled simples
 
 
+ATOM_BOUND = 18  # atom occurrences in one level's content
+DEPTH_BOUND = 4
+
+
 class OracleLimitError(CwcError):
-    """The input exceeds the configured enumeration bounds."""
+    """The input exceeds the enumeration bounds."""
 
 
 def _atom_occurrences(t: Term) -> int:
@@ -38,22 +41,9 @@ def _atom_occurrences(t: Term) -> int:
     return total
 
 
-def complete_labeling(t: Term, rng: Optional[Random] = None):
-    """Label every atom occurrence uniquely per species.
-
-    With an rng the labels are assigned in shuffled order; the count must
-    not depend on which labeling was chosen.
-    """
-    counters: dict = {}
-    labeled = _label_term(t, counters)
-    if rng is None:
-        return labeled
-    remap = {}
-    for name, used in counters.items():
-        labels = list(range(used))
-        rng.shuffle(labels)
-        remap[name] = labels
-    return tuple(sorted(_relabel(s, remap) for s in labeled))
+def complete_labeling(t: Term) -> tuple:
+    """Label every atom occurrence uniquely per species."""
+    return _label_term(t, {})
 
 
 def _label_term(t: Term, counters: dict) -> tuple:
@@ -75,20 +65,6 @@ def _next_label(name: str, counters: dict) -> tuple:
     i = counters.get(name, 0)
     counters[name] = i + 1
     return ("a", name, i)
-
-
-def _relabel(value, remap: dict):
-    if isinstance(value, tuple) and value and value[0] == "a":
-        _, name, label = value
-        return ("a", name, remap[name][label])
-    if isinstance(value, tuple) and value and value[0] == "c":
-        _, wrap, content = value
-        return (
-            "c",
-            tuple(sorted(_relabel(a, remap) for a in wrap)),
-            tuple(sorted(_relabel(s, remap) for s in content)),
-        )
-    raise TypeError(f"not a labeled simple term: {value!r}")
 
 
 def erase(labeled) -> Term:
@@ -205,44 +181,15 @@ def distinct_substitutions(rule: Rule, labeled_state) -> set:
     return found
 
 
-def _labeled_within(state_local: Term, max_atoms: int, max_depth: int):
-    """The complete labeling of state_local; raises beyond the bounds."""
-    if _atom_occurrences(state_local) > max_atoms:
-        raise OracleLimitError(
-            f"state has more than {max_atoms} atom occurrences"
-        )
-    if state_local.depth > max_depth:
-        raise OracleLimitError(f"state is nested deeper than {max_depth}")
-    return complete_labeling(state_local)
-
-
-def count_oracle(
-    rule: Rule,
-    state_local: Term,
-    outcome_local: Term,
-    *,
-    max_atoms: int = 18,
-    max_depth: int = 4,
-) -> int:
-    """Count distinct labeled instantiations producing the given outcome.
-
-    Intended only for small inputs; raises beyond the configured bounds.
-    """
-    labeled = _labeled_within(state_local, max_atoms, max_depth)
-    return sum(
-        erase(_labeled_subst(rule.rhs, dict(sigma_items))) == outcome_local
-        for sigma_items in distinct_substitutions(rule, labeled)
-    )
-
-
-def oracle_total(
-    rule: Rule,
-    state_local: Term,
-    *,
-    max_atoms: int = 18,
-    max_depth: int = 4,
-) -> int:
-    """Total distinct labeled instantiations over all outcomes; catches a
-    matcher that drops an outcome entirely."""
-    labeled = _labeled_within(state_local, max_atoms, max_depth)
-    return len(distinct_substitutions(rule, labeled))
+def oracle_outcomes(rule: Rule, content: Term) -> list:
+    """The distinct outcomes of the rule at one level with their numbers of
+    distinct labeled instantiations, sorted canonically: the shape of
+    ``matching.outcome_terms``.  Raises beyond the enumeration bounds."""
+    if _atom_occurrences(content) > ATOM_BOUND:
+        raise OracleLimitError(f"state has more than {ATOM_BOUND} atom occurrences")
+    if content.depth > DEPTH_BOUND:
+        raise OracleLimitError(f"state is nested deeper than {DEPTH_BOUND}")
+    return list(_canonical(
+        (erase(_labeled_subst(rule.rhs, dict(sigma_items))), 1)
+        for sigma_items in distinct_substitutions(rule, complete_labeling(content))
+    ))

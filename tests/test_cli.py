@@ -90,6 +90,45 @@ def test_count_with_oracle_agrees(write, capsys):
     assert "MISMATCH" not in out
 
 
+PINNED = (
+    "init a a b (m | a a b c) (m | a (b | c)) (m | a (b | c))\n"
+    "rule flat: a a => a c @ 1\n"
+    "rule join: a (m ~x | $X) $Y -> (a m ~x | $X) $Y @ 1\n"
+    "rule pair: (m ~u | a $x) (m ~v | a $y) $z -> (m ~u | b $x) (m ~v | b $y) $z @ fn(n * n)\n"
+    "rule ground: a (b | c) $X -> $X @ 1\n"
+)
+
+
+@pytest.mark.parametrize("rule, want", [
+    ("flat", "path=top n=1 outcome=a b c (m | a (b | c)) (m | a (b | c)) (m | a a b c) oracle=1 OK\n"
+             "path=top total=1 oracle=1 OK\n"
+             "path=2 total=0 oracle=0 OK\n"
+             "path=2/1 total=0 oracle=0 OK\n"
+             "path=3 n=1 outcome=a b c c oracle=1 OK\n"
+             "path=3 total=1 oracle=1 OK\n"),
+    ("join", "path=top n=4 outcome=a b (a m | a (b | c)) (m | a (b | c)) (m | a a b c) oracle=4 OK\n"
+             "path=top n=2 outcome=a b (a m | a a b c) (m | a (b | c)) (m | a (b | c)) oracle=2 OK\n"
+             "path=top total=6 oracle=6 OK\n"
+             "path=2 total=0 oracle=0 OK\n"
+             "path=2/1 total=0 oracle=0 OK\n"
+             "path=3 total=0 oracle=0 OK\n"),
+    ("pair", "path=top n=8 outcome=a a b (m | a b b c) (m | a (b | c)) (m | b (b | c)) oracle=8 OK\n"
+             "path=top n=2 outcome=a a b (m | a a b c) (m | b (b | c)) (m | b (b | c)) oracle=2 OK\n"
+             "path=top total=10 oracle=10 OK\n"
+             "path=2 total=0 oracle=0 OK\n"
+             "path=2/1 total=0 oracle=0 OK\n"
+             "path=3 total=0 oracle=0 OK\n"),
+    ("ground", "path=top total=0 oracle=0 OK\n"
+               "path=2 n=1 outcome=* oracle=1 OK\n"
+               "path=2 total=1 oracle=1 OK\n"
+               "path=2/1 total=0 oracle=0 OK\n"
+               "path=3 total=0 oracle=0 OK\n"),
+])
+def test_count_with_oracle_output_is_pinned(write, capsys, rule, want):
+    assert main(["count", write(PINNED), rule, "--oracle"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_count_reports_congruent_copies_once(write, capsys):
     path = write("init a (b | c (d | e)) (b | c (d | e))\nrule r: c => d @ 1\n")
     assert main(["count", path, "r", "--oracle"]) == 0
@@ -106,7 +145,7 @@ def test_count_unknown_rule(write, capsys):
 
 def test_count_detects_injected_fault(write, capsys, monkeypatch):
     # simulate a broken counter: the oracle must flag it and fail the command
-    monkeypatch.setattr(cli, "count_oracle", lambda rule, content, outcome: 999)
+    monkeypatch.setattr(cli, "oracle_outcomes", lambda rule, content: [])
     path = write(MEMBRANE)
     assert main(["count", path, "join", "--oracle"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
@@ -199,6 +238,20 @@ def test_too_deep_init_is_a_model_error(write, tmp_path, capsys, command, depth)
     assert main(args) == 1
     assert capsys.readouterr().err == (
         f"{path}:1:{6 + 5 * MAX_DEPTH}: compartments nest more than {MAX_DEPTH} deep\n")
+
+
+def test_too_deep_rate_expression_is_a_model_error(write, capsys):
+    path = write("init a\nrule r: a => b @ fn(" + "(" * 400 + "1" + ")" * 400 + ")\n")
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:2:{21 + MAX_DEPTH}: parentheses nest more than {MAX_DEPTH} deep\n")
+
+
+def test_rate_error_at_listing_exits_3_naming_the_rule(write, capsys):
+    path = write("init a\nrule broken: a => b @ fn(1 / (n - 1))\n")
+    assert main(["transitions", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: rule broken at (): division by zero in (1.0 / (n - 1.0))\n")
 
 
 def test_bad_env_seed(write, tmp_path, monkeypatch, capsys):

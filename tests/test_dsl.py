@@ -141,6 +141,24 @@ def test_nesting_is_bounded():
     assert [(d.line, d.code) for d in ds] == [(2, "nesting-too-deep"), (3, "unbound-variable")]
 
 
+def _rate_nested(depth: int) -> str:
+    return "rule r: a => b @ fn(" + "(" * depth + "n * 2" + ")" * depth + ")\n"
+
+
+def test_deepest_rate_expression_parses():
+    rate = parse_model("init a\n" + _rate_nested(MAX_DEPTH)).rules[0].rate
+    assert str(rate) == "fn((n * 2.0))" and rate.n_linear
+
+
+def test_rate_parentheses_are_bounded():
+    d, = diags_of("init a\n" + _rate_nested(400))
+    assert (d.line, d.col, d.code) == (2, 21 + MAX_DEPTH, "nesting-too-deep")
+    assert d.message == f"parentheses nest more than {MAX_DEPTH} deep"
+    # recovery drops the rule and goes on to the next item
+    ds = diags_of("init a\n" + _rate_nested(MAX_DEPTH + 1) + "rule s: a $X -> $Y @ 1\n")
+    assert [(d.line, d.code) for d in ds] == [(2, "nesting-too-deep"), (3, "unbound-variable")]
+
+
 def test_ground_positions_share_the_rule_grammar():
     ds = diags_of("init a $X (m ~y | b)\nrule r: a => b @ 1\n")
     assert [(d.line, d.col, d.message) for d in ds] == [

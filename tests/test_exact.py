@@ -24,9 +24,8 @@ import pytest
 from cwcsim import (
     Model,
     SimConfig,
-    count_oracle,
     enumerate_transitions,
-    oracle_total,
+    oracle_outcomes,
     parse_model,
     parse_term,
     run,
@@ -66,20 +65,16 @@ def grouped_row(state, rules) -> dict:
 
 
 def check_counts(state, rules, transitions):
-    """Per (rule, path, outcome), the store's summed local counts equal the
-    oracle's, and per (rule, path) they sum to the oracle's total."""
+    """Per (rule, path) with transitions, the store's summed local counts
+    per outcome are the oracle's outcomes and counts."""
     by_rule = {r.id: r for r in rules}
-    per_outcome: Counter = Counter()
+    per_context: dict = {}
     for t in transitions:
         assert t.n % t.multiplicity == 0
-        per_outcome[t.rule_id, t.path, t.outcome_local] += t.n // t.multiplicity
-    per_context: Counter = Counter()
-    for (rule_id, path, outcome), n in per_outcome.items():
-        content = content_at(state, path)
-        assert count_oracle(by_rule[rule_id], content, outcome) == n
-        per_context[rule_id, path] += n
-    for (rule_id, path), n in per_context.items():
-        assert oracle_total(by_rule[rule_id], content_at(state, path)) == n
+        outcomes = per_context.setdefault((t.rule_id, t.path), Counter())
+        outcomes[t.outcome_local] += t.n // t.multiplicity
+    for (rule_id, path), outcomes in per_context.items():
+        assert outcomes == dict(oracle_outcomes(by_rule[rule_id], content_at(state, path)))
 
 
 def generator(init, rules, keep=lambda s: True, limit=2000) -> dict:
