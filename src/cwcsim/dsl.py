@@ -28,6 +28,9 @@ replicates) are reserved and cannot name atoms or variables; that is what
 makes recovery to the next item well defined after a syntax error.
 Compartments, and parentheses in a rate expression, nest at most
 terms.MAX_DEPTH deep; a deeper `(` is a nesting-too-deep diagnostic.  A
+rate expression holds at most terms.MAX_DEPTH operators, since evaluating
+it recurses once per operator; the operator past that is a rate-too-long
+diagnostic.  A
 rule is judged by pattern.validate_rule alone, and the parser places each
 issue in the source: a repeated variable at its second occurrence, any
 other at its variable's first.
@@ -181,6 +184,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.diags = diags
+        self.operators = 0  # in the rate expression being parsed
 
     @property
     def cur(self) -> _Token:
@@ -297,6 +301,7 @@ class _Parser:
         if tok.kind == "name" and tok.text == "fn":
             self.advance()
             self.expect("(", "'(' after fn")
+            self.operators = 0
             expr = self.rate_expr()
             self.expect(")", "')'")
             return FnRate(expr)
@@ -311,16 +316,25 @@ class _Parser:
     def rate_expr(self, depth: int = 0):
         left = self.rate_term(depth)
         while self.cur.kind in ("+", "-"):
-            op = self.advance().kind
+            op = self.operator()
             left = BinOp(op, left, self.rate_term(depth))
         return left
 
     def rate_term(self, depth: int):
         left = self.rate_factor(depth)
         while self.cur.kind in ("*", "/"):
-            op = self.advance().kind
+            op = self.operator()
             left = BinOp(op, left, self.rate_factor(depth))
         return left
+
+    def operator(self) -> str:
+        """Consume one operator of a rate expression, at most MAX_DEPTH of
+        them in one expression."""
+        tok = self.advance()
+        self.operators += 1
+        if self.operators > MAX_DEPTH:
+            self.fail(tok, f"rate expression has more than {MAX_DEPTH} operators", "rate-too-long")
+        return tok.kind
 
     def rate_factor(self, depth: int):
         tok = self.cur

@@ -19,16 +19,32 @@ every match is built when the node is, and matches are grouped by term
 and rated on it.  An n-linear rule whose matches can be counted without
 enumerating them (matching.Counted: no ground compartment, no compartment
 class two slots can share) is one local entry, rated by one rate_of call
-on a single instantiation times the summed n; selection descends its
-slot weights in match order and builds only the match that fires, rated
-its n times that unit rate, as rate_of would rate it.  A rule with one
-match is that match's Outcome.  Listing expands every Counted into its
+on a single instantiation times the summed n; selection walks its
+slots' candidates in match order and builds only the match that fires,
+rated its n times that unit rate, as rate_of would rate it.  A rule with
+one match is that match's Outcome.  Listing expands every Counted into its
 match classes once per node, so a store still lists, and len() counts,
 one transition per match class.  The node keeps every Outcome it holds
 and every Counted listing, with their built terms, for every later store
 that reaches it; a Counted builds the match it picks each time it is
 picked.  A config flag cross-checks every store against an uncached
 recomputation.
+
+A missed node below the root is built afresh: each compartment class is
+looked up once in matching's element index and its share of every
+top-level slot's weight and match count tallied, and each rule a class or
+atom can reach is counted and rated.  A missed root, whose classes grow
+with the crowd, is derived from the previous root instead (_derived): a
+root node of a few classes or more keeps its _Level, and walking the two
+canonical top levels side by side finds the classes and atoms the event
+changed.  Only those are
+looked up, tallied and built, every other class keeps its child and its
+share of the sums, and only the rules the changes touch, the rules that
+are always enumerated and the rules that had an entry are visited, so a
+root costs lookups, tallies and rule counts in the changed classes, plus
+one pass over its classes to splice the child tuple and sum the total.
+A node's total is the fsum of the same list either way, so rates,
+selection and seeded output do not depend on how a node was built.
 
 Nodes and matching's element index share one per-run memo (Memo): nodes
 keyed by level content, and the rows of every top-level slot on one
@@ -37,13 +53,13 @@ nested slot levels are computed inside an index miss and not kept.  An
 entry weighs the size its key's content or element caches, times the row
 sets an index key names; MEMO_BUDGET bounds the summed weight over two
 generations, so a diverging run keeps a bounded memo.  Eviction is safe:
-a store holds its nodes directly, every node its children and Outcomes,
-and an evicted entry is rebuilt equal from its key alone.  The memo lives
-for one run, which keeps the rules its index keys name alive; it is not
-shared across replicates, because a shared memo cost more in memory and
-garbage collection than its hits saved.  A finished run's final state
-goes through terms.shared, so trajectories kept side by side share their
-equal subterms.
+a store holds its nodes directly, every node its children and Outcomes, a
+root its _Level, and an evicted entry is rebuilt equal from its key alone.
+The memo lives for one run, which keeps the rules its index keys name
+alive; it is not shared across replicates, because a shared memo cost
+more in memory and garbage collection than its hits saved.  A finished
+run's final state goes through terms.shared, so trajectories kept side by
+side share their equal subterms.
 """
 from __future__ import annotations
 
@@ -51,12 +67,12 @@ import hashlib
 from dataclasses import dataclass, replace
 from math import fsum, inf, isclose, isfinite, log
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CwcError
-from .matching import Counted, counted_matches, level_outcomes, slot_candidates
+from .matching import Counted, _element_rows, counted_matches, level_outcomes, slot_candidates
 from .rates import RateEvaluationError, rate_of
-from .terms import MAX_DEPTH, Path, Term, count_atom, replace_at, shared
+from .terms import MAX_DEPTH, Compartment, Path, Term, count_atom, replace_at, shared
 
 
 @dataclass(frozen=True)
@@ -155,15 +171,18 @@ class _Node:
     matching.Outcome, one per match class under an n-linear law and one per
     outcome otherwise, which builds and keeps its term on first use;
     children (element_index, copies, node) for each enabled subtree, total
-    the summed rate of one copy and count its transitions."""
+    the summed rate of one copy and count its transitions.  A root node of
+    at least DERIVE_FROM compartment classes keeps the _Level the next root
+    is derived from; other nodes keep None."""
 
-    __slots__ = ("local", "children", "total", "count")
+    __slots__ = ("local", "children", "total", "count", "level")
 
-    def __init__(self, local: tuple, children: tuple):
+    def __init__(self, local: tuple, children: tuple, level=None):
         self.local = local
         self.children = children
         self.total = fsum([e[3] for e in local] + [c * ch.total for _, c, ch in children])
         self.count = sum(e[1].count for e in local) + sum(ch.count for _, _, ch in children)
+        self.level = level
 
 
 # The summed weight one run's Memo may keep.  On diverging 16-cell pho runs
@@ -221,54 +240,195 @@ def _weight(key) -> int:
     return key.size if type(key) is Term else key[1].size * key[2]
 
 
-def _node(content: Term, rules: tuple, memo, path: Path) -> _Node:
-    """The node of content, built on a memo miss; path is where the content
-    was met, for error messages only.  A node holds its children directly,
-    so evicting a node from the memo never invalidates its parents."""
-    node = memo.get(content)
-    if node is None:
-        found = slot_candidates(rules, content, memo)
-        local = []
-        for i, rule in enumerate(rules):
-            entries = counted_matches(rule, i, content, found)
-            if entries is None:  # enumerated from the element index's candidates
-                slots = [found[i, s][2] for s in range(len(rule.lhs.slots))]
-                entries = level_outcomes(rule, content, slots)
-            for outcome, n_local in entries:
-                counted = type(outcome) is Counted
-                try:
-                    # a Counted is rated per instantiation, then times n
-                    rate = rate_of(rule.rate, content, outcome, 1 if counted else n_local)
-                    if counted:
-                        outcome.unit_rate = rate
-                        rate *= n_local
-                        if not isfinite(rate):
-                            raise RateEvaluationError(
-                                "nonfinite-rate", f"rate evaluated to {rate}"
-                            )
-                except RateEvaluationError as e:
-                    raise SimulationError(
-                        f"rule {rule.id} at {path}: {e}",
-                        rule_id=rule.id,
-                        path=path,
-                        code=e.code,
-                    ) from e
-                if rate > 0:
-                    local.append((i, outcome, n_local, rate))
-        children = []
-        for i, el, copies in content.compartments():
-            child = _node(el.content, rules, memo, path + ((i, 0),))
+class _Plan(NamedTuple):
+    """What building a level reads of a rules tuple besides each rule."""
+
+    width: int  # top-level slots, which key the element index
+    slotless: frozenset  # rules without one, which no class tally reaches
+    always: frozenset  # rules with a ground compartment or a law not n-linear
+    readers: dict  # per atom, the rules whose pattern or count_l reads it
+
+
+def _plan(rules: tuple) -> _Plan:
+    readers: dict = {}
+    for r, rule in enumerate(rules):
+        for a in {a for a, _ in rule.lhs.atoms} | rule.rate.reads:
+            readers.setdefault(a, []).append(r)
+    return _Plan(
+        sum(len(rule.lhs.slots) for rule in rules),
+        frozenset(r for r, rule in enumerate(rules) if not rule.lhs.slots),
+        frozenset(r for r, rule in enumerate(rules)
+                  if rule.lhs.grounds or not rule.rate.n_linear),
+        readers,
+    )
+
+
+class _Level:
+    """What a root node is derived from besides its entries and children:
+    its content; tables, the element index entry (matching._element_rows)
+    of every compartment class; sums, (weight, matches) per (rule index,
+    slot index) summed over those classes; and shared, per rule index, the
+    classes that two of its slots take, counted once per extra slot, kept
+    when nonzero."""
+
+    __slots__ = ("content", "tables", "sums", "shared")
+
+    def __init__(self, content, tables, sums, shared):
+        self.content = content
+        self.tables = tables
+        self.sums = sums
+        self.shared = shared
+
+
+# A root with fewer compartment classes keeps no _Level, and the next root
+# is built afresh: on one-cell pho, deriving roots cost more than building
+# them, and their levels added memory.
+DERIVE_FROM = 3
+
+
+def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict, todo: set):
+    """Add copies times one compartment class's element index entry table
+    to the weights in sums, sign times its rows to the matches in sums and
+    its shared slots to shared, and the rules it touches to todo."""
+    last = None
+    for key, rows, summed in table:
+        weight, matches = sums[key] if key in sums else (0, 0)
+        sums[key] = (weight + copies * summed, matches + sign * len(rows))
+        r = key[0]
+        todo.add(r)
+        if r == last and sign:
+            k = shared.get(r, 0) + sign
+            if k:
+                shared[r] = k
+            else:
+                del shared[r]
+        last = r
+
+
+def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, plan: _Plan) -> tuple:
+    """(tables, sums, shared, todo, children) of content, derived from
+    base, the root node of another content, by walking both contents in
+    canonical order and comparing elements by identity first.  An element
+    whose copy count did not change keeps its table, its share of sums and
+    shared, and its child; the others are tallied out and in, and a new
+    class is looked up in the element index and its child built.  todo
+    lists, in rule order, the rules to count and rate again: those the
+    changed classes or top-level atoms touch, those the plan always counts
+    or whose classes are shared, and those that had an entry, which must be
+    rebound to the new content."""
+    old = base.level
+    width, _, always, readers = plan
+    tables, sums, shared = dict(old.tables), dict(old.sums), dict(old.shared)
+    todo = set(always)
+    changes, children = [], []
+    olds, kids = old.content.items, base.children
+    end, ends = len(olds), len(kids)
+    i = k = 0  # the next old element and the next old child
+    for j, (el, cnt) in enumerate(content.items):
+        was = 0
+        while i < end:
+            o, n = olds[i]
+            if o is el or o == el:
+                was = n
+                break
+            if o._key > el._key:
+                break
+            changes.append((o, n, 0))
+            i += 1
+        if was != cnt:
+            changes.append((el, was, cnt))
+        if type(el) is Compartment and not was:
+            tables[el] = _element_rows(rules, el, memo, width) if width else ()
+            child = _node(el.content, rules, memo, path + ((j, 0),), plan)
             if child.count:
-                children.append((i, copies, child))
-        try:
-            node = _Node(tuple(local), tuple(children))
-            if not isfinite(node.total):
-                raise OverflowError
-        except OverflowError:
-            raise SimulationError(
-                f"total rate at {path} is not finite", path=path, code="nonfinite-rate"
-            ) from None
-        memo[content] = node
+                children.append((j, cnt, child))
+        elif type(el) is Compartment:
+            while k < ends and kids[k][0] < i:
+                k += 1
+            if k < ends and kids[k][0] == i:  # else disabled, and still
+                children.append((j, cnt, kids[k][2]))
+        if was:
+            i += 1
+    changes.extend((o, n, 0) for o, n in olds[i:])
+    for el, was, cnt in changes:
+        if type(el) is not Compartment:
+            todo.update(readers.get(el, ()))
+        elif not cnt:
+            _tally(tables.pop(el), -was if el.has_atoms else -1, -1, sums, shared, todo)
+        elif not was:
+            _tally(tables[el], cnt if el.has_atoms else 1, 1, sums, shared, todo)
+        elif el.has_atoms:  # else one copy counts, before and after
+            _tally(tables[el], cnt - was, 0, sums, shared, todo)
+    todo.update(shared)
+    todo.update(e[0] for e in base.local)
+    return tables, sums, shared, sorted(todo), children
+
+
+def _node(content: Term, rules: tuple, memo, path: Path, plan: _Plan, base=None) -> _Node:
+    """The node of content, built on a memo miss; path is where the content
+    was met, for error messages only, and plan the rules' _Plan.  A root
+    miss is derived from base, the root node of the previous state, when
+    base keeps a _Level (_derived); any other miss is built afresh, each
+    class looked up in the element index, tallied and its child built, and
+    every rule a class or atom can reach visited.  A visited rule is counted
+    (matching.counted_matches) or enumerated, and rated.  A root of at
+    least DERIVE_FROM classes keeps its _Level.  A node holds its children
+    directly, so evicting a node from the memo never invalidates its
+    parents."""
+    node = memo.get(content)
+    if node is not None:
+        return node
+    if base is not None and base.level is not None:
+        tables, sums, shared, todo, children = _derived(base, content, rules, memo, path, plan)
+    else:
+        tables, sums, shared, children = {}, {}, {}, []
+        todo = set(plan.slotless)  # a rule with slots and no class has no match
+        for j, el, cnt in content.compartments():
+            table = tables[el] = _element_rows(rules, el, memo, plan.width) if plan.width else ()
+            _tally(table, cnt if el.has_atoms else 1, 1, sums, shared, todo)
+            child = _node(el.content, rules, memo, path + ((j, 0),), plan)
+            if child.count:
+                children.append((j, cnt, child))
+        todo = sorted(todo)
+    local = []
+    for r in todo:
+        rule = rules[r]
+        entries = counted_matches(rule, r, content, tables, sums, shared)
+        if entries is None:  # enumerated from the classes' candidates
+            slots = slot_candidates(content, tables, r, len(rule.lhs.slots))
+            entries = level_outcomes(rule, content, slots)
+        for outcome, n_local in entries:
+            counted = type(outcome) is Counted
+            try:
+                # a Counted is rated per instantiation, then times n
+                rate = rate_of(rule.rate, content, outcome, 1 if counted else n_local)
+                if counted:
+                    outcome.unit_rate = rate
+                    rate *= n_local
+                    if not isfinite(rate):
+                        raise RateEvaluationError(
+                            "nonfinite-rate", f"rate evaluated to {rate}"
+                        )
+            except RateEvaluationError as e:
+                raise SimulationError(
+                    f"rule {rule.id} at {path}: {e}",
+                    rule_id=rule.id,
+                    path=path,
+                    code=e.code,
+                ) from e
+            if rate > 0:
+                local.append((r, outcome, n_local, rate))
+    try:
+        root = not path and len(tables) >= DERIVE_FROM
+        level = _Level(content, tables, sums, shared) if root else None
+        node = _Node(tuple(local), tuple(children), level)
+        if not isfinite(node.total):
+            raise OverflowError
+    except OverflowError:
+        raise SimulationError(
+            f"total rate at {path} is not finite", path=path, code="nonfinite-rate"
+        ) from None
+    memo[content] = node
     return node
 
 
@@ -276,16 +436,20 @@ class TransitionStore:
     """The enabled transitions of one state as a tree of level nodes; memo
     (a Memo or a dict) maps level contents to nodes and compartment
     elements to their index entries, and may serve every store of one rules
-    tuple.  len() counts the transitions, one per match class of a counted
-    entry, and total sums their rates.  Iteration yields them in canonical
-    pre-order from a list built once and kept, so one store always yields
-    the same objects."""
+    tuple.  A missed root is derived from the root of prev, a store of
+    the same rules (_node).  len() counts the transitions, one per match
+    class of a counted entry, and total sums their rates.  Iteration yields
+    them in canonical pre-order from a list built once and kept, so one
+    store always yields the same objects."""
 
-    __slots__ = ("rules", "root", "total", "_list")
+    __slots__ = ("rules", "plan", "root", "total", "_list")
 
-    def __init__(self, state: Term, rules, memo=None):
+    def __init__(self, state: Term, rules, memo=None, prev: Optional["TransitionStore"] = None):
         self.rules = tuple(rules)
-        self.root = _node(state, self.rules, {} if memo is None else memo, ())
+        same = prev is not None and (prev.rules is self.rules or prev.rules == self.rules)
+        self.plan = prev.plan if same else _plan(self.rules)
+        memo = {} if memo is None else memo
+        self.root = _node(state, self.rules, memo, (), self.plan, prev.root if same else None)
         self.total = self.root.total
         self._list = None
 
@@ -358,12 +522,13 @@ def enumerate_transitions(state: Term, rules) -> list:
 def incremental_retransitions(
     prev: TransitionStore, next_state: Term, rules, memo=None
 ) -> TransitionStore:
-    """The store after one event, given the store before it: every subtree
-    the event left unchanged is a memo hit, so only the nodes on the
-    rewritten path are built, and each of those looks up the element index
-    once per compartment and rates each countable rule once (module
-    docstring).  prev is not read."""
-    return TransitionStore(next_state, rules, memo)
+    """The store after one event, given the store before it.  A root the
+    memo holds is reused.  A missed root is derived from prev's root when
+    both stores have the same rules: only the compartment classes and atoms
+    the event changed are looked up in the element index, tallied and
+    built, every other class keeps its subtree, and only the rules those
+    changes touch are counted and rated again (module docstring)."""
+    return TransitionStore(next_state, rules, memo, prev)
 
 
 def step(state: Term, transitions: TransitionStore, rng: Random):

@@ -34,23 +34,26 @@ the slot level's residue and wrap variable, count and whether they carry
 atoms -- depend on the slot and the element only, not on the level around
 them: they are its rows (_rows).  The rows of every top-level slot of a
 rules tuple on one element are memoised together under (id(rules),
-element, number of top-level slots), the element index, so a level the
-engine has not met looks each compartment up once (slot_candidates), not
-once per rule and slot; the engine's level_matches calls take their slot
-candidates from it.  It is the only memo of rows: nested slot levels are
-computed inside an index miss and not kept.  Rows come back in content
-order, so match order does not depend on the memo, and every caller
-copies a row's bindings before writing into them.
+element, number of top-level slots), the element index (_element_rows), so
+the engine looks each compartment class up once when a level first meets
+it, not once per rule and slot, and keeps the entries of a level's
+classes in a table by class.  It is the only memo of rows: nested slot
+levels are computed inside an index miss and not kept.  Rows come back in
+content order, so match order does not depend on the memo, and every
+caller copies a row's bindings before writing into them.  A slot's
+candidates are the classes of a level with rows for it, in content order
+(slot_candidates).
 
 Under an n-linear law a rule need not even be enumerated when it has no
 ground compartment and no two of its slots can take the same compartment
 class: each slot then takes one copy of one element, so the matches are
 the product of independent per-slot choices and their counts sum to the
 atom factor times the product of the slots' summed weights (Counted).
-The engine rates that sum with one rate_of call and, when the entry
-fires, descends the slot weights to the one match it builds.  A rule
-with grounds, two slots that can take one class, or any other law is
-enumerated by level_outcomes as above.
+The engine keeps those sums per level, so counting such a rule
+(counted_matches) reads no class; it rates the sum with one rate_of call
+and, when the entry fires, walks the slots' candidates only as far as the
+one match it builds.  A rule with grounds, two slots that can take one
+class, or any other law is enumerated by level_outcomes as above.
 
 Nothing here enumerates contexts: the engine's propensity tree and
 `cwcsim count` each walk a state's levels themselves.
@@ -61,7 +64,7 @@ from itertools import product
 from math import comb, inf, perm
 
 from .pattern import LevelPattern, Rule, apply_subst
-from .terms import Term, _canonical, bag_contains, bag_count, bag_diff
+from .terms import Atom, Term, _canonical, bag_contains, bag_count, bag_diff
 
 
 def level_matches(lp: LevelPattern, content: Term, slots=None) -> list:
@@ -196,64 +199,90 @@ def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
     return table
 
 
-def slot_candidates(rules: tuple, content: Term, memo) -> dict:
-    """{(rule index, slot index): [weight, matches, candidates]} for every
-    top-level slot of rules with a row on a compartment of content, one memo
-    lookup per compartment element.  candidates lists (index, copies, rows,
-    weight) in content order: copies is the element's copy count when it
-    carries atoms and 1 otherwise, the factor a slot taking one copy
-    contributes (module docstring), and weight is copies times the summed
-    row count.  weight and matches sum the candidates' weights and rows.
-    Grounds are not applied; rules without top-level slots keep nothing."""
-    found: dict = {}
-    width = sum(len(rule.lhs.slots) for rule in rules)
-    if not width:
-        return found
+def slot_candidates(content: Term, tables, i: int, k: int) -> list:
+    """Per slot s < k of rules[i], its candidates (index, copies, rows,
+    weight) in content order, read off tables, which maps every compartment
+    class of content to its element index entry (_element_rows).  copies is
+    the class's copy count when it carries atoms and 1 otherwise, the
+    factor a slot taking one copy contributes (module docstring), and
+    weight is copies times the summed row count.  Grounds are not
+    applied."""
+    found = [[] for _ in range(k)]
     for idx, el, cnt in content.compartments():
         copies = cnt if el.has_atoms else 1
-        for key, rows, summed in _element_rows(rules, el, memo, width):
-            weight = copies * summed
-            got = found.get(key)
-            if got is None:
-                found[key] = [weight, len(rows), [(idx, copies, rows, weight)]]
-            else:
-                got[0] += weight
-                got[1] += len(rows)
-                got[2].append((idx, copies, rows, weight))
+        for (r, s), rows, summed in tables[el]:
+            if r == i:
+                found[s].append((idx, copies, rows, copies * summed))
     return found
 
 
-def counted_matches(rule: Rule, i: int, content: Term, found: dict):
-    """The matches of rules[i] at content from its slot candidates (found,
-    from slot_candidates): [] when there are none; under an n-linear law,
-    with no ground compartment and slots that take disjoint compartment
-    classes, [(Outcome, n)] for a single match and [(Counted, n)] for more;
-    None when the rule needs level_outcomes."""
+def counted_matches(rule: Rule, i: int, content: Term, tables, sums: dict, shared: dict):
+    """The matches of rules[i] at content: [] when there are none; under an
+    n-linear law, with no ground compartment and no compartment class that
+    two slots take (shared counts those classes per rule index), [(Outcome,
+    n)] for a single match and [(Counted, n)] for more; None when the rule
+    needs level_outcomes.  sums holds (weight, matches) per (rule index,
+    slot index), summed over the classes of content; tables maps each
+    class to its element index entry, which only a single match, or a
+    Counted that fires or is listed, reads."""
     lp = rule.lhs
-    slots = []
+    weights, count = [], 1
     for s in range(len(lp.slots)):
-        slot = found.get((i, s))
-        if slot is None:
+        weight, matches = sums.get((i, s), (0, 0))
+        if not matches:
             return []
-        slots.append(slot)
+        weights.append(weight)
+        count *= matches
     factor = _atom_factor(lp.atoms, content)
     if not factor:
         return []
-    if not rule.rate.n_linear or lp.grounds:
+    if not rule.rate.n_linear or lp.grounds or shared.get(i):
         return None
-    if len(slots) > 1:
-        classes = [c[0] for _, _, cands in slots for c in cands]
-        if len(set(classes)) < len(classes):
-            return None
-    n, count = factor, 1
-    for weight, matches, _ in slots:
+    n = factor
+    for weight in weights:
         n *= weight
-        count *= matches
     if count == 1:  # the common case in one-cell models: no Counted needed
-        placement = [(cands[0][0],) + cands[0][2][0] for _, _, cands in slots]
-        bindings, consumed, n = _placed(lp.atoms, content, factor, {}, placement)
-        return [(Outcome(rule, content, bindings, consumed), n)]
-    return [(Counted(rule, content, factor, slots, n, count), n)]
+        return [_pick(rule, i, content, tables, factor, weights, n, 0)]
+    return [(Counted(rule, content, factor, weights, n, count, tables, i), n)]
+
+
+def _pick(rule: Rule, i: int, content: Term, tables, factor: int, weights: list, n: int,
+          offset: float) -> tuple:
+    """(Outcome, n) of the match of rules[i] whose cumulative count in match
+    order first exceeds offset, at or past n (from rounding) the last, as
+    Counted.pick describes."""
+    unit = n  # the count of one unit of weight in the current block
+    placement = []
+    for s, summed in enumerate(weights):
+        unit //= summed
+        key = (i, s)
+        for idx, (el, cnt) in enumerate(content.items):
+            if type(el) is Atom:
+                continue
+            for k, rows, rows_sum in tables[el]:
+                if k == key:
+                    break
+            else:
+                continue
+            copies = cnt if el.has_atoms else 1
+            last = idx, copies, rows
+            if offset < unit * copies * rows_sum:
+                break
+            offset -= unit * copies * rows_sum
+        else:
+            offset = inf
+        idx, copies, rows = last
+        unit *= copies
+        for row in rows:
+            if offset < unit * row[1]:
+                break
+            offset -= unit * row[1]
+        else:
+            offset = inf
+        unit *= row[1]
+        placement.append((idx,) + row)
+    bindings, consumed, n = _placed(rule.lhs.atoms, content, factor, {}, placement)
+    return Outcome(rule, content, bindings, consumed), n
 
 
 class Counted:
@@ -262,55 +291,43 @@ class Counted:
     enumerated.  Each slot then takes one copy of its element, so a match
     of rows r_s on elements e_s counts factor * prod(copies(e_s) *
     count(r_s)) and the matches sum to n = factor * prod(W_s), W_s the
-    summed weight of slot s's candidates (slots, from slot_candidates).
-    expand lists the matches once through level_outcomes, in its order;
-    pick finds one by a count offset, descending the slots in that order,
-    and builds it.  count is the number of matches.  An n-linear law does
-    not read count_r, so the engine may pass a Counted to rate_of as the
-    outcome; it keeps the rate of one instantiation in unit_rate, and a
-    match of n is rated unit_rate * n, as rate_of rates it."""
+    summed weight of slot s (weights).  A slot's candidates are the classes
+    of content with rows for it in tables, each class's element index
+    entry, in content order (slot_candidates).  pick finds one match by a
+    count offset, walking each slot's candidates in that order only as far
+    as the offset reaches, and builds it; expand lists every match once
+    through level_outcomes, in the same order.  count is the number of
+    matches.  An n-linear law does not read count_r, so the engine may pass
+    a Counted to rate_of as the outcome; it keeps the rate of one
+    instantiation in unit_rate, and a match of n is rated unit_rate * n, as
+    rate_of rates it."""
 
-    __slots__ = ("rule", "content", "factor", "slots", "n", "count", "listed", "unit_rate")
+    __slots__ = ("rule", "content", "factor", "weights", "n", "count", "tables", "i",
+                 "listed", "unit_rate")
 
-    def __init__(self, rule: Rule, content: Term, factor: int, slots: list, n: int, count: int):
+    def __init__(self, rule: Rule, content: Term, factor: int, weights: list, n: int,
+                 count: int, tables, i: int):
         self.rule = rule
         self.content = content
         self.factor = factor
-        self.slots = slots
+        self.weights = weights
         self.n = n
         self.count = count
+        self.tables = tables
+        self.i = i
         self.listed = None
 
     def pick(self, offset: float) -> tuple:
         """(Outcome, n) of the match whose cumulative count in match order
         first exceeds offset; at or past n (from rounding), the last."""
-        unit = self.n  # the count of one unit of weight in the current block
-        placement = []
-        for summed, _, cands in self.slots:
-            unit //= summed
-            for idx, copies, rows, weight in cands:
-                if offset < unit * weight:
-                    break
-                offset -= unit * weight
-            else:
-                offset = inf
-            unit *= copies
-            for row in rows:
-                if offset < unit * row[1]:
-                    break
-                offset -= unit * row[1]
-            else:
-                offset = inf
-            unit *= row[1]
-            placement.append((idx,) + row)
-        lp = self.rule.lhs
-        bindings, consumed, n = _placed(lp.atoms, self.content, self.factor, {}, placement)
-        return Outcome(self.rule, self.content, bindings, consumed), n
+        return _pick(self.rule, self.i, self.content, self.tables, self.factor, self.weights,
+                     self.n, offset)
 
     def expand(self) -> list:
         """[(Outcome, n)] of every match in match order, listed once."""
         if self.listed is None:
-            self.listed = level_outcomes(self.rule, self.content, [c for _, _, c in self.slots])
+            slots = slot_candidates(self.content, self.tables, self.i, len(self.weights))
+            self.listed = level_outcomes(self.rule, self.content, slots)
         return self.listed
 
 

@@ -230,13 +230,14 @@ class Term:
         return Term._of(_canonical(self.items + other.items))
 
     def subtract(self, pairs: Iterable) -> "Term":
-        """Remove a (element, count) multiset; raises if not contained."""
+        """Remove a (element, count) multiset; raises if not contained.
+        Keyed by element, whose hash is cached, not by its nested key."""
         need: dict = {}
         for el, n in pairs:
-            need[el._key] = need.get(el._key, 0) + n
+            need[el] = need.get(el, 0) + n
         out = []
         for el, n in self.items:
-            k = n - need.pop(el._key, 0)
+            k = n - need.pop(el, 0)
             if k < 0:
                 raise ValueError(f"subtract: {el!r} occurs only {n} times")
             if k:

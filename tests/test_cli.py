@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,10 +152,54 @@ def test_count_detects_injected_fault(write, capsys, monkeypatch):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_count_oracle_respects_bounds(write, capsys):
-    path = write("init a * 30\nrule r: a => * @ 1\n")
-    assert main(["count", path, "r", "--oracle"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_count_oracle_skips_a_level_over_its_bounds(write, capsys):
+    # the top level is over the atom bound, the compartment's is checked
+    path = write("init a * 30 (m | a a)\nrule r: a $X -> $X @ 1\n")
+    assert main(["count", path, "r", "--oracle"]) == 0
+    assert capsys.readouterr().out == (
+        "path=top n=30 outcome=a a a a a a a a a a a a a a a a a a a a a a a a a a a a a"
+        " (m | a a)\n"
+        "path=top oracle skipped: state has more than 18 atom occurrences\n"
+        "path=1 n=2 outcome=a oracle=2 OK\n"
+        "path=1 total=2 oracle=2 OK\n"
+    )
+
+
+def test_count_oracle_fails_on_a_mismatch_at_a_checked_level(write, capsys, monkeypatch):
+    real = cli.oracle_outcomes
+
+    def broken(rule, content):  # wrong on the top level, unless over a bound
+        right = real(rule, content)
+        return [] if content.depth else right
+
+    monkeypatch.setattr(cli, "oracle_outcomes", broken)
+    path = write("init a * 30 (m | a a)\nrule r: a $X -> $X @ 1\n")
+    assert main(["count", path, "r", "--oracle"]) == 0
+    path = write("init a a (m | a a)\nrule r: a $X -> $X @ 1\n")
+    assert main(["count", path, "r", "--oracle"]) == 1
+    assert "path=top total=2 oracle=0 MISMATCH" in capsys.readouterr().out
+
+
+BUNDLED = Path(cli.__file__).parent / "models"
+
+
+@pytest.mark.parametrize("rule", ["in1", "bind", "express"])
+def test_count_oracle_checks_the_levels_of_bundled_pho_it_can(capsys, rule):
+    # the init's top level (20 Pi) and the cell's (20 sensors) are over the
+    # atom bound; the cytoplasm is checked
+    assert main(["count", str(BUNDLED / "pho.cwc"), rule, "--oracle"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    skipped = [line for line in out if "oracle skipped" in line]
+    assert skipped == [
+        "path=top oracle skipped: state has more than 18 atom occurrences",
+        "path=1 oracle skipped: state has more than 18 atom occurrences",
+    ]
+    assert out[-1].startswith("path=1/0 total=") and out[-1].endswith(" OK")
+    # without --oracle, the same levels and outcomes
+    assert main(["count", str(BUNDLED / "pho.cwc"), rule]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert plain == [line.split(" oracle=")[0] for line in out
+                     if "total=" not in line and "skipped" not in line]
 
 
 def test_run_writes_replicate_and_aggregate_csv(write, tmp_path, capsys):
@@ -245,6 +290,15 @@ def test_too_deep_rate_expression_is_a_model_error(write, capsys):
     assert main(["validate", path]) == 1
     assert capsys.readouterr().err == (
         f"{path}:2:{21 + MAX_DEPTH}: parentheses nest more than {MAX_DEPTH} deep\n")
+
+
+def test_long_rate_expression_is_a_model_error(write, capsys):
+    # fn(n + n + ... + n) used to parse and then escape as RecursionError
+    # when the rule was rated
+    path = write("init a\nrule r: a => b @ fn(" + " + ".join(["n"] * 3000) + ")\n")
+    assert main(["transitions", path]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:2:{23 + 4 * MAX_DEPTH}: rate expression has more than {MAX_DEPTH} operators\n")
 
 
 def test_rate_error_at_listing_exits_3_naming_the_rule(write, capsys):

@@ -159,6 +159,37 @@ def test_rate_parentheses_are_bounded():
     assert [(d.line, d.code) for d in ds] == [(2, "nesting-too-deep"), (3, "unbound-variable")]
 
 
+def _rate_chain(operators: int, op: str = "+", name: str = "r") -> str:
+    return f"rule {name}: a => b @ fn(" + f" {op} ".join(["n"] * (operators + 1)) + ")\n"
+
+
+@pytest.mark.parametrize("op", ["+", "*", "/"])
+def test_longest_rate_expression_rates(op):
+    # evaluation recurses once per operator: the longest expression the
+    # parser admits must evaluate, at a level nested as deep as terms go
+    from cwcsim import enumerate_transitions
+    init = "a"
+    for _ in range(MAX_DEPTH - 1):
+        init = f"(m | {init})"
+    model = parse_model(f"init {init}\n" + _rate_chain(MAX_DEPTH, op))
+    t, = enumerate_transitions(model.init, model.rules)
+    assert t.path == ((0, 0),) * (MAX_DEPTH - 1) and t.rate >= 0
+
+
+def test_rate_operators_are_bounded():
+    d, = diags_of("init a\n" + _rate_chain(3000))
+    assert (d.line, d.col, d.code) == (2, 23 + 4 * MAX_DEPTH, "rate-too-long")
+    assert d.message == f"rate expression has more than {MAX_DEPTH} operators"
+    # the count is per expression, parentheses and both precedence levels
+    # included, and recovery goes on to the next item
+    product, difference = " * ".join(["n"] * 200), " - ".join(["1"] * 100)
+    text = f"rule r: a => b @ fn(({product}) + {difference})\n"
+    ds = diags_of("init a\n" + text + "rule s: a $X -> $Y @ fn(n + n)\n")
+    assert [(d.line, d.code) for d in ds] == [(2, "rate-too-long"), (3, "unbound-variable")]
+    two = "init a\n" + _rate_chain(MAX_DEPTH) + _rate_chain(MAX_DEPTH, "-", "s")
+    assert len(parse_model(two).rules) == 2
+
+
 def test_ground_positions_share_the_rule_grammar():
     ds = diags_of("init a $X (m ~y | b)\nrule r: a => b @ 1\n")
     assert [(d.line, d.col, d.message) for d in ds] == [
