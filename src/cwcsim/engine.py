@@ -30,49 +30,49 @@ that reaches it; a Counted builds the match it picks each time it is
 picked.  A config flag cross-checks every store against an uncached
 recomputation.
 
-A missed node below the root is built afresh: each compartment class is
-looked up once in matching's element index and its share of every
-top-level slot's weight and match count tallied, and each rule a class or
-atom can reach is counted and rated.  A missed root, whose classes grow
-with the crowd, is derived from the previous root instead (_derived): a
-root node of a few classes or more keeps its _Level, and walking the two
-canonical top levels side by side finds the classes and atoms the event
-changed.  Only those are
-looked up, tallied and built, every other class keeps its child and its
-share of the sums, and only the rules the changes touch, the rules that
-are always enumerated and the rules that had an entry are visited, so a
-root costs lookups, tallies and rule counts in the changed classes, plus
-one pass over its classes to splice the child tuple and sum the total.
-A node's total is the fsum of the same list either way, so rates,
-selection and seeded output do not depend on how a node was built.
+Every missed node is derived (_derived) from a node that keeps a _Level:
+the previous root, when the store has one of a few classes or more, else
+the empty level (_EMPTY), against which every class and atom is new.
+Walking the two canonical levels side by side finds the classes and atoms
+that changed.  Only those are looked up in matching's element index,
+tallied into every top-level slot's summed weight and match count, and
+built; every other class keeps its child and its share of the sums, and
+only the rules the changes touch, the rules that are always enumerated and
+the rules that had an entry are counted and rated.  A root derived from
+the previous one thus costs lookups, tallies and rule counts in the
+changed classes, plus one pass over its classes to splice the child tuple
+and sum the total.  A node's total is the fsum of the same list whichever
+level it came from, so rates, selection and seeded output do not depend
+on it.
 
-Nodes and matching's element index share one per-run memo (Memo): nodes
-keyed by level content, and the rows of every top-level slot on one
-compartment element by (id(rules), element, number of top-level slots);
-nested slot levels are computed inside an index miss and not kept.  An
-entry weighs the size its key's content or element caches, times the row
-sets an index key names; MEMO_BUDGET bounds the summed weight over two
-generations, so a diverging run keeps a bounded memo.  Eviction is safe:
-a store holds its nodes directly, every node its children and Outcomes, a
-root its _Level, and an evicted entry is rebuilt equal from its key alone.
-The memo lives for one run, which keeps the rules its index keys name
-alive; it is not shared across replicates, because a shared memo cost
-more in memory and garbage collection than its hits saved.  A finished
-run's final state goes through terms.shared, so trajectories kept side by
-side share their equal subterms.
+Each chain of stores owns one memo (Memo): TransitionStore starts it with
+the rules' _Plan, and incremental_retransitions hands both on with the
+rules, so a memo serves exactly one rules tuple.  It keeps nodes keyed by
+level content, and the rows of every top-level slot on one compartment
+element keyed by (element, number of top-level slots); nested slot levels
+are computed inside an index miss and not kept.  An entry weighs the size
+its key's content or element caches, times the row sets an index key
+names; MEMO_BUDGET bounds the summed weight over two generations, so a
+diverging run keeps a bounded memo.  Eviction is safe: a store holds its
+nodes directly, every node its children and Outcomes, a root its _Level,
+and an evicted entry is rebuilt equal from its key alone.  A run's memo is
+not shared across replicates, because a shared memo cost more in memory
+and garbage collection than its hits saved.  A finished run's final state
+goes through terms.shared, so trajectories kept side by side share their
+equal subterms.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from math import fsum, inf, isclose, isfinite, log
+from math import fsum, inf, isclose, isfinite, log, nextafter
 from random import Random
 from typing import NamedTuple, Optional
 
 from .errors import CwcError
 from .matching import Counted, _element_rows, counted_matches, level_outcomes, slot_candidates
 from .rates import RateEvaluationError, rate_of
-from .terms import MAX_DEPTH, Compartment, Path, Term, count_atom, replace_at, shared
+from .terms import EMPTY, MAX_DEPTH, Compartment, Path, Term, count_atom, replace_at, shared
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,10 @@ class SimConfig:
     log_events: bool = False
 
     def __post_init__(self):
+        for name in ("max_events", "replicates", "max_term_size", "max_depth"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not (value is None and name == "max_events"):
+                raise ValueError(f"{name} must be an integer")
         if self.t_max is None and self.max_events is None:
             raise ValueError("need a time horizon or an event cap")
         if self.t_max is not None and not self.t_max > 0:
@@ -127,8 +131,10 @@ class SimConfig:
             raise ValueError("the sample grid must be finite: sample_dt and t_max / sample_dt")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.max_depth > MAX_DEPTH:
-            raise ValueError(f"max_depth must be at most the nesting bound {MAX_DEPTH}")
+        if self.max_term_size < 0:
+            raise ValueError("max_term_size must not be negative")
+        if not 0 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be from 0 to the nesting bound {MAX_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -185,23 +191,22 @@ class _Node:
         self.level = level
 
 
-# The summed weight one run's Memo may keep.  On diverging 16-cell pho runs
-# and 64-cell macrophage crowds, smaller budgets re-rate recurring crowd
-# states, and larger ones add memory without speeding pho up.
+# The summed weight one store chain's Memo may keep.  On diverging 16-cell
+# pho runs and 64-cell macrophage crowds, smaller budgets re-rate recurring
+# crowd states, and larger ones add memory without speeding pho up.
 MEMO_BUDGET = 250_000
 
 
 class Memo:
-    """One run's memo of level nodes (keyed by level content) and the
-    element index (keyed by (id(rules), element, row sets), see
-    matching._element_rows), bounded by one budget on their summed weight.
-    An entry weighs the size its key's content or element caches, times the
-    row sets of an index key (_weight).  Two generations: an entry goes into
-    the young one, which becomes the old one, dropping the previous old one,
-    when it would pass half the budget; a hit in the old generation moves
-    the entry back into the young one.  An entry heavier than half the
-    budget is not kept.  get and item assignment are those of a dict, so a
-    plain dict serves as an unbounded memo."""
+    """One store chain's memo of level nodes (keyed by level content) and
+    the element index (keyed by (element, row sets), see
+    matching._element_rows) of one rules tuple, bounded by one budget on
+    their summed weight.  An entry weighs the size its key's content or
+    element caches, times the row sets of an index key (_weight).  Two
+    generations: an entry goes into the young one, which becomes the old
+    one, dropping the previous old one, when it would pass half the budget;
+    a hit in the old generation moves the entry back into the young one.
+    An entry heavier than half the budget is not kept."""
 
     __slots__ = ("budget", "young", "old", "young_weight", "old_weight")
 
@@ -237,14 +242,13 @@ class Memo:
 
 
 def _weight(key) -> int:
-    return key.size if type(key) is Term else key[1].size * key[2]
+    return key.size if type(key) is Term else key[0].size * key[1]
 
 
 class _Plan(NamedTuple):
     """What building a level reads of a rules tuple besides each rule."""
 
     width: int  # top-level slots, which key the element index
-    slotless: frozenset  # rules without one, which no class tally reaches
     always: frozenset  # rules with a ground compartment or a law not n-linear
     readers: dict  # per atom, the rules whose pattern or count_l reads it
 
@@ -256,7 +260,6 @@ def _plan(rules: tuple) -> _Plan:
             readers.setdefault(a, []).append(r)
     return _Plan(
         sum(len(rule.lhs.slots) for rule in rules),
-        frozenset(r for r, rule in enumerate(rules) if not rule.lhs.slots),
         frozenset(r for r, rule in enumerate(rules)
                   if rule.lhs.grounds or not rule.rate.n_linear),
         readers,
@@ -264,7 +267,7 @@ def _plan(rules: tuple) -> _Plan:
 
 
 class _Level:
-    """What a root node is derived from besides its entries and children:
+    """What a node is derived from besides its entries and children:
     its content; tables, the element index entry (matching._element_rows)
     of every compartment class; sums, (weight, matches) per (rule index,
     slot index) summed over those classes; and shared, per rule index, the
@@ -281,9 +284,13 @@ class _Level:
 
 
 # A root with fewer compartment classes keeps no _Level, and the next root
-# is built afresh: on one-cell pho, deriving roots cost more than building
-# them, and their levels added memory.
+# is derived from the empty level: on one-cell pho, deriving roots from the
+# previous one cost more than that, and their levels added memory.
 DERIVE_FROM = 3
+
+# The node every missed node is derived from when no previous root keeps a
+# _Level: no entries, no children, and a level over the empty term.
+_EMPTY = _Node((), (), _Level(EMPTY, {}, {}, {}))
 
 
 def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict, todo: set):
@@ -307,17 +314,17 @@ def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict, todo:
 
 def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, plan: _Plan) -> tuple:
     """(tables, sums, shared, todo, children) of content, derived from
-    base, the root node of another content, by walking both contents in
-    canonical order and comparing elements by identity first.  An element
-    whose copy count did not change keeps its table, its share of sums and
-    shared, and its child; the others are tallied out and in, and a new
-    class is looked up in the element index and its child built.  todo
-    lists, in rule order, the rules to count and rate again: those the
-    changed classes or top-level atoms touch, those the plan always counts
-    or whose classes are shared, and those that had an entry, which must be
-    rebound to the new content."""
+    base, a node of another content that keeps a _Level, by walking both
+    contents in canonical order and comparing elements by identity first.
+    An element whose copy count did not change keeps its table, its share
+    of sums and shared, and its child; the others are tallied out and in,
+    and a new class is looked up in the element index and its child built.
+    todo lists, in rule order, the rules to count and rate: those the
+    changed classes or atoms touch (a rule without a slot has atoms or
+    grounds), those the plan always counts or whose classes are shared,
+    and those that had an entry, which must be rebound to the new content."""
     old = base.level
-    width, _, always, readers = plan
+    width, always, readers = plan
     tables, sums, shared = dict(old.tables), dict(old.sums), dict(old.shared)
     todo = set(always)
     changes, children = [], []
@@ -364,32 +371,21 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, plan: _
     return tables, sums, shared, sorted(todo), children
 
 
-def _node(content: Term, rules: tuple, memo, path: Path, plan: _Plan, base=None) -> _Node:
-    """The node of content, built on a memo miss; path is where the content
-    was met, for error messages only, and plan the rules' _Plan.  A root
-    miss is derived from base, the root node of the previous state, when
-    base keeps a _Level (_derived); any other miss is built afresh, each
-    class looked up in the element index, tallied and its child built, and
-    every rule a class or atom can reach visited.  A visited rule is counted
-    (matching.counted_matches) or enumerated, and rated.  A root of at
-    least DERIVE_FROM classes keeps its _Level.  A node holds its children
-    directly, so evicting a node from the memo never invalidates its
-    parents."""
+def _node(content: Term, rules: tuple, memo, path: Path, plan: _Plan, base=_EMPTY) -> _Node:
+    """The node of content, from memo or, on a miss, derived (_derived)
+    from base, the root node of the previous state, when base keeps a
+    _Level, else from the empty level; path is where the content was met,
+    for error messages only, and plan the rules' _Plan.  Each rule the
+    derivation lists is counted (matching.counted_matches) or enumerated,
+    and rated.  A root of at least DERIVE_FROM classes keeps its _Level.  A
+    node holds its children directly, so evicting a node from the memo
+    never invalidates its parents."""
     node = memo.get(content)
     if node is not None:
         return node
-    if base is not None and base.level is not None:
-        tables, sums, shared, todo, children = _derived(base, content, rules, memo, path, plan)
-    else:
-        tables, sums, shared, children = {}, {}, {}, []
-        todo = set(plan.slotless)  # a rule with slots and no class has no match
-        for j, el, cnt in content.compartments():
-            table = tables[el] = _element_rows(rules, el, memo, plan.width) if plan.width else ()
-            _tally(table, cnt if el.has_atoms else 1, 1, sums, shared, todo)
-            child = _node(el.content, rules, memo, path + ((j, 0),), plan)
-            if child.count:
-                children.append((j, cnt, child))
-        todo = sorted(todo)
+    if base.level is None:
+        base = _EMPTY
+    tables, sums, shared, todo, children = _derived(base, content, rules, memo, path, plan)
     local = []
     for r in todo:
         rule = rules[r]
@@ -433,25 +429,28 @@ def _node(content: Term, rules: tuple, memo, path: Path, plan: _Plan, base=None)
 
 
 class TransitionStore:
-    """The enabled transitions of one state as a tree of level nodes; memo
-    (a Memo or a dict) maps level contents to nodes and compartment
-    elements to their index entries, and may serve every store of one rules
-    tuple.  A missed root is derived from the root of prev, a store of
-    the same rules (_node).  len() counts the transitions, one per match
-    class of a counted entry, and total sums their rates.  Iteration yields
-    them in canonical pre-order from a list built once and kept, so one
-    store always yields the same objects."""
+    """The enabled transitions of one state as a tree of level nodes.  A
+    store made from a rules tuple starts the tuple's _Plan and a Memo of
+    its own, which maps level contents to nodes and compartment elements to
+    their index entries; its successors (incremental_retransitions) inherit
+    all three, so a memo serves exactly one rules tuple.  len() counts the
+    transitions, one per match class of a counted entry, and total sums
+    their rates.  Iteration yields them in canonical pre-order from a list
+    built once and kept, so one store always yields the same objects."""
 
-    __slots__ = ("rules", "plan", "root", "total", "_list")
+    __slots__ = ("rules", "plan", "memo", "root", "total", "_list")
 
-    def __init__(self, state: Term, rules, memo=None, prev: Optional["TransitionStore"] = None):
+    def __init__(self, state: Term, rules):
         self.rules = tuple(rules)
-        same = prev is not None and (prev.rules is self.rules or prev.rules == self.rules)
-        self.plan = prev.plan if same else _plan(self.rules)
-        memo = {} if memo is None else memo
-        self.root = _node(state, self.rules, memo, (), self.plan, prev.root if same else None)
+        self.plan = _plan(self.rules)
+        self.memo = Memo(MEMO_BUDGET)
+        self._rate(state, _EMPTY)
+
+    def _rate(self, state: Term, base: _Node) -> "TransitionStore":
+        self.root = _node(state, self.rules, self.memo, (), self.plan, base)
         self.total = self.root.total
         self._list = None
+        return self
 
     def __len__(self) -> int:
         return self.root.count
@@ -514,21 +513,21 @@ class TransitionStore:
 
 
 def enumerate_transitions(state: Term, rules) -> list:
-    """Full recomputation with a fresh memo: every enabled transition in
-    canonical pre-order."""
+    """Full recomputation, in a store with its own memo: every enabled
+    transition in canonical pre-order."""
     return list(TransitionStore(state, rules))
 
 
-def incremental_retransitions(
-    prev: TransitionStore, next_state: Term, rules, memo=None
-) -> TransitionStore:
-    """The store after one event, given the store before it.  A root the
-    memo holds is reused.  A missed root is derived from prev's root when
-    both stores have the same rules: only the compartment classes and atoms
-    the event changed are looked up in the element index, tallied and
+def incremental_retransitions(prev: TransitionStore, next_state: Term) -> TransitionStore:
+    """The store after one event, given the store before it, whose rules,
+    plan and memo it inherits.  A root the memo holds is reused.  A missed
+    root is derived from prev's root: only the compartment classes and
+    atoms the event changed are looked up in the element index, tallied and
     built, every other class keeps its subtree, and only the rules those
     changes touch are counted and rated again (module docstring)."""
-    return TransitionStore(next_state, rules, memo, prev)
+    store = object.__new__(TransitionStore)
+    store.rules, store.plan, store.memo = prev.rules, prev.plan, prev.memo
+    return store._rate(next_state, prev.root)
 
 
 def step(state: Term, transitions: TransitionStore, rng: Random):
@@ -582,7 +581,6 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     # to the time the run ends
     last = int(cfg.t_max / dt + 1e-9) if cfg.t_max is not None else inf
 
-    memo = Memo(MEMO_BUDGET)
     state = model.init
     rows: list = []
     gi = 0
@@ -591,14 +589,15 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     failures = 0
     log_rows: list = [] if cfg.log_events else None
 
-    def measure(s: Term) -> tuple:
-        return tuple(count_atom(s, o.atom, o.scope) for o in observables)
-
-    def fill(upto_inclusive: float, s: Term):
+    def fill(until: float, s: Term):
+        """Sample s, measured once, at every grid point left before until."""
         nonlocal gi
-        while gi <= last and gi * dt <= upto_inclusive:
-            rows.append(measure(s))
+        start = gi
+        while gi <= last and gi * dt < until:
             gi += 1
+        if gi > start:
+            row = tuple(count_atom(s, o.atom, o.scope) for o in observables)
+            rows.extend([row] * (gi - start))
 
     def cross_checked(s: Term, transitions: TransitionStore) -> TransitionStore:
         nonlocal failures
@@ -628,22 +627,22 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     t_new = 0.0  # the time of the state being checked and rated
     try:
         _check_limits(state, cfg, None, None, 0.0)
-        transitions = cross_checked(state, TransitionStore(state, rules, memo))
+        transitions = cross_checked(state, TransitionStore(state, rules))
         while True:
             if not transitions:
-                fill(last * dt if cfg.t_max is not None else t, state)
+                # every grid point left, up to t_max or else up to t
+                fill(inf if cfg.t_max is not None else nextafter(t, inf), state)
                 return trajectory("deadlock")
             wait, chosen, next_state = step(state, transitions, rng)
             t_new = t + wait
             if cfg.t_max is not None and t_new > cfg.t_max:
-                fill(last * dt, state)
+                fill(inf, state)
                 return trajectory("horizon-reached")
-            while gi <= last and gi * dt < t_new:
-                rows.append(measure(state))
-                gi += 1
+            if gi * dt < t_new:  # most events pass no grid point
+                fill(t_new, state)
             _check_limits(next_state, cfg, chosen.rule_id, chosen.path, t_new)
             transitions = cross_checked(
-                next_state, incremental_retransitions(transitions, next_state, rules, memo)
+                next_state, incremental_retransitions(transitions, next_state)
             )
             state = next_state
             t = t_new
@@ -651,7 +650,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
             if log_rows is not None:
                 log_rows.append((t, chosen.rule_id, chosen.path))
             if cfg.max_events is not None and events >= cfg.max_events:
-                fill(t, state)
+                fill(nextafter(t, inf), state)  # up to t
                 return trajectory("event-cap")
     except SimulationError as e:
         if e.time is None:  # raised while rating a store

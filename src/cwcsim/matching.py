@@ -33,16 +33,16 @@ A compartment slot's matches on one compartment element -- bindings with
 the slot level's residue and wrap variable, count and whether they carry
 atoms -- depend on the slot and the element only, not on the level around
 them: they are its rows (_rows).  The rows of every top-level slot of a
-rules tuple on one element are memoised together under (id(rules),
-element, number of top-level slots), the element index (_element_rows), so
-the engine looks each compartment class up once when a level first meets
-it, not once per rule and slot, and keeps the entries of a level's
-classes in a table by class.  It is the only memo of rows: nested slot
-levels are computed inside an index miss and not kept.  Rows come back in
-content order, so match order does not depend on the memo, and every
-caller copies a row's bindings before writing into them.  A slot's
-candidates are the classes of a level with rows for it, in content order
-(slot_candidates).
+rules tuple on one element are memoised together, in a memo that serves
+that tuple only, under (element, number of top-level slots): the element
+index (_element_rows).  The engine thus looks each compartment class up
+once when a level first meets it, not once per rule and slot, and keeps
+the entries of a level's classes in a table by class.  It is the only
+memo of rows: nested slot levels are computed inside an index miss and
+not kept.  Rows come back in content order, so match order does not
+depend on the memo, and every caller copies a row's bindings before
+writing into them.  A slot's candidates are the classes of a level with
+rows for it, in content order (slot_candidates).
 
 Under an n-linear law a rule need not even be enumerated when it has no
 ground compartment and no two of its slots can take the same compartment
@@ -179,15 +179,14 @@ def _rows(slot, el) -> list:
 def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
     """The element index of one compartment element: ((rule index, slot
     index), rows, summed row count) for every top-level slot of rules with a
-    row on el, kept in memo under (id(rules), el, width), width the number
-    of top-level slots of rules: the entry stands for that many row sets
-    and weighs as much (engine.Memo).  The entry holds rules, so another
-    tuple under a reused id recomputes.  Callers copy the bindings and
-    never write into them."""
-    key = (id(rules), el, width)
-    entry = memo.get(key)
-    if entry is not None and entry[0] is rules:
-        return entry[1]
+    row on el, kept in memo, which serves rules only, under (el, width),
+    width the number of top-level slots of rules: the entry stands for that
+    many row sets and weighs as much (engine.Memo).  Callers copy the
+    bindings and never write into them."""
+    key = (el, width)
+    table = memo.get(key)
+    if table is not None:
+        return table
     table = []
     for i, rule in enumerate(rules):
         for s, slot in enumerate(rule.lhs.slots):
@@ -195,7 +194,7 @@ def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
             if rows:
                 table.append(((i, s), rows, sum(row[1] for row in rows)))
     table = tuple(table)
-    memo[key] = (rules, table)
+    memo[key] = table
     return table
 
 

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from cwcsim import enumerate_transitions, parse_model, parse_term
-from cwcsim.engine import TransitionStore
+from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import Counted, level_outcomes
 from cwcsim.terms import replace_at
 from tests.conftest import gen_rule, gen_term, instantiate_lhs
@@ -52,16 +52,17 @@ def random_states(rng, trials: int):
 
 
 def walk(rules, state, steps: int, seed: int):
-    """state and the states of a seeded walk from it."""
+    """state and the states of a seeded walk from it, each with its store,
+    the successor of the one before, so all share one warm memo."""
     rng = random.Random(seed)
-    memo: dict = {}
+    store = TransitionStore(state, rules)
     for _ in range(steps):
-        yield state, memo
-        store = TransitionStore(state, rules, memo)
+        yield state, store
         if not store:
             return
         chosen = store.select(rng.random() * store.total)
         state = replace_at(state, chosen.path, chosen.outcome_local)
+        store = incremental_retransitions(store, state)
 
 
 def match_key(outcome) -> tuple:
@@ -102,26 +103,25 @@ def test_descent_lands_on_each_match_n_times_on_random_states(rng):
 def test_descent_lands_on_each_match_n_times_on_bundled_models(name, init):
     rules = bundled(name, init)
     entries = 0
-    for state, memo in walk(rules, parse_term(init), 60, seed=3):
-        for counted in counted_entries(TransitionStore(state, rules, memo)):
+    for _, store in walk(rules, parse_term(init), 60, seed=3):
+        for counted in counted_entries(store):
             check_descent(counted)
             entries += 1
     assert entries > 50
 
 
-def check_store(state, rules, memo):
+def check_store(state, store):
     """A store built with a warm memo lists what a fresh one lists, rates
     sum to its total, len() counts the listing, and selection at the
     midpoint of each listed transition returns that transition."""
-    store = TransitionStore(state, rules, memo)
     listed = list(store)
-    assert listed == enumerate_transitions(state, rules)
+    assert listed == enumerate_transitions(state, store.rules)
     assert len(store) == len(listed)
     assert math.isclose(store.total, math.fsum(t.rate for t in listed), rel_tol=1e-12)
     acc = 0.0
     for t in listed:
         # a fresh store: selection builds and keeps only what it picks
-        assert TransitionStore(state, rules, memo).select(acc + t.rate / 2) == t
+        assert incremental_retransitions(store, state).select(acc + t.rate / 2) == t
         acc += t.rate
     return sum(c.count for c in counted_entries(store))
 
@@ -130,18 +130,18 @@ def check_store(state, rules, memo):
 def test_warm_store_lists_and_selects_like_a_fresh_one_on_bundled_models(name, init):
     rules = bundled(name, init)
     in_counted = 0
-    for state, memo in walk(rules, parse_term(init), 40, seed=8):
-        in_counted += check_store(state, rules, memo)
+    for state, store in walk(rules, parse_term(init), 40, seed=8):
+        in_counted += check_store(state, store)
     assert in_counted > 100
 
 
 def test_warm_store_lists_and_selects_like_a_fresh_one_on_random_walks(rng):
     in_counted = 0
     for trial, (rules, init) in enumerate(random_states(rng, 30)):
-        for state, memo in walk(rules, init, 8, seed=trial):
+        for state, store in walk(rules, init, 8, seed=trial):
             if state.size > 200:
                 break
-            in_counted += check_store(state, rules, memo)
+            in_counted += check_store(state, store)
     assert in_counted > 50
 
 

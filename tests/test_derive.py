@@ -12,11 +12,9 @@ import importlib.resources
 import random
 from pathlib import Path
 
-import pytest
-
 from cwcsim import parse_model, parse_term
 from cwcsim import engine
-from cwcsim.engine import Memo, TransitionStore, incremental_retransitions
+from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import Counted
 from cwcsim.rates import BinOp, CountL, FnRate, MatchCount, Num
 from cwcsim.terms import Atom, replace_at
@@ -63,23 +61,22 @@ class Seen:
         self.fired: dict = {}
 
 
-def walk(rules, state, steps: int, seed: int, seen: Seen, memo=None):
+def walk(rules, state, steps: int, seed: int, seen: Seen):
     """A seeded walk from state; each next store, derived from the previous
     one on a root miss, is checked against a fresh store of its state."""
     rng = random.Random(seed)
-    memo = Memo(engine.MEMO_BUDGET) if memo is None else memo
-    store = TransitionStore(state, rules, memo)
+    store = TransitionStore(state, rules)
     for _ in range(steps):
         if not store:
             return
         chosen = store.select(rng.random() * store.total)
         seen.fired[chosen.rule_id, chosen.path == ()] = True
         nxt = replace_at(state, chosen.path, chosen.outcome_local)
-        if memo.get(nxt) is None and store.root.level is not None:
+        if store.memo.get(nxt) is None and store.root.level is not None:
             seen.derived += 1
         if not {el for el, _ in state.items} <= {el for el, _ in nxt.items}:
             seen.dropped += 1
-        derived = incremental_retransitions(store, nxt, rules, memo)
+        derived = incremental_retransitions(store, nxt)
         fresh = TransitionStore(nxt, rules)
         assert_same_node(derived.root, fresh.root)
         assert list(derived) == list(fresh)
@@ -163,7 +160,7 @@ def test_random_rules_derive_roots_equal_to_fresh_ones(rng):
         for rule in rules:
             for _ in range(2):
                 state = state.union(instantiate_lhs(rng, rule))
-        walk(rules, state, 12, trial, seen, memo={})
+        walk(rules, state, 12, trial, seen)
     assert seen.derived > 100 and seen.dropped > 20
 
 
@@ -179,14 +176,13 @@ def element_rows_per_event(monkeypatch, rules, state, events: int, seed: int) ->
 
     monkeypatch.setattr(engine, "_element_rows", counting)
     rng = random.Random(seed)
-    memo = Memo(engine.MEMO_BUDGET)
     calls.append(0)
-    store = TransitionStore(state, rules, memo)
+    store = TransitionStore(state, rules)
     for _ in range(events):
         chosen = store.select(rng.random() * store.total)
         state = replace_at(state, chosen.path, chosen.outcome_local)
         calls.append(0)
-        store = incremental_retransitions(store, state, rules, memo)
+        store = incremental_retransitions(store, state)
     return calls[1:]
 
 
@@ -194,17 +190,18 @@ def diverged(cells: int, events: int) -> tuple:
     rules = bundled("pho.cwc", "a")
     state = parse_term(f"Pi*{20 * cells} " + " ".join([PHO_CELL] * cells))
     rng = random.Random(5)
-    store = TransitionStore(state, rules, {})
+    store = TransitionStore(state, rules)
     for _ in range(events):
         chosen = store.select(rng.random() * store.total)
         state = replace_at(state, chosen.path, chosen.outcome_local)
-        store = incremental_retransitions(store, state, rules, {})
+        store = incremental_retransitions(store, state)
     return rules, state
 
 
 def test_an_event_looks_up_changed_classes_only(monkeypatch):
-    # a fresh root looks every class up; a derived one only the classes
-    # the event changed, as many on 64 diverged cells as on 4
+    # a root derived from the empty level looks every class up; one derived
+    # from the previous root only the classes the event changed, as many on
+    # 64 diverged cells as on 4
     rules, small = diverged(4, 300)
     rules, large = diverged(64, 1500)
     classes = sum(1 for _ in large.compartments())
@@ -213,7 +210,7 @@ def test_an_event_looks_up_changed_classes_only(monkeypatch):
     many = element_rows_per_event(monkeypatch, rules, large, 40, 1)
     assert max(many) <= max(few) <= 4
     assert sum(many) <= sum(few)
-    monkeypatch.setattr(engine, "DERIVE_FROM", classes + 1)  # never derive
+    monkeypatch.setattr(engine, "DERIVE_FROM", classes + 1)  # no root keeps a level
     assert max(element_rows_per_event(monkeypatch, rules, large, 5, 1)) >= classes - 2
 
 
@@ -224,25 +221,12 @@ def test_a_root_without_a_level_is_followed_by_a_fresh_one():
     rules = bundled("pho.cwc", "a")
     sensors = "(PhoR*{} PhoRP*{} | PhoB*10 PhoGenes)"
     crowd = parse_term("Pi " + " ".join(sensors.format(k, 10 - k) for k in (3, 4, 5)))
-    memo: dict = {}
-    TransitionStore(parse_term(f"Pi {PHO_CELL}"), rules, memo)
     cell = next(parse_term(PHO_CELL).compartments())[1].content
     for state in (cell, parse_term(f"Pi {PHO_CELL} (pore | Pi)")):
-        store = TransitionStore(state, rules, memo)
-        assert store.root is memo[state] and store.root.level is None
-        memo.pop(crowd, None)
-        derived = incremental_retransitions(store, crowd, rules, memo)
+        # the first store's memo holds the cell's node, built as a nested level
+        store = TransitionStore(parse_term(f"Pi {PHO_CELL}"), rules)
+        store = incremental_retransitions(store, state)
+        assert store.root is store.memo.get(state) and store.root.level is None
+        derived = incremental_retransitions(store, crowd)
         assert_same_node(derived.root, TransitionStore(crowd, rules).root)
         assert len(derived.root.level.tables) == 3
-
-
-@pytest.mark.parametrize("name", ["pho_16cell.cwc", "macrophage_crowd.cwc"])
-def test_a_store_of_other_rules_is_not_derived_from(name):
-    # a _Level names rules by index: the same rules in another order must
-    # not reuse it (a memo serves one rules tuple, so each has its own)
-    rules, init = fixture(name)
-    store = TransitionStore(init, rules[::-1], {})
-    for chosen in store:
-        nxt = replace_at(init, chosen.path, chosen.outcome_local)
-        got = incremental_retransitions(store, nxt, rules, {})
-        assert list(got) == list(TransitionStore(nxt, rules))

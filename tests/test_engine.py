@@ -315,6 +315,12 @@ def test_config_validation():
         SimConfig(max_events=0)
     with pytest.raises(ValueError):
         SimConfig(t_max=1.0, replicates=0)
+    # counts and limits that are not integers, and negative limits, which
+    # used to escape as TypeError, run 3 events for 2.5, or fail at t = 0
+    for bad in ({"replicates": 2.5}, {"max_events": 2.5}, {"max_term_size": 1e6},
+                {"max_depth": 4.0}, {"max_depth": -1}, {"max_term_size": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SimConfig(t_max=1.0, **bad)
     # sample grids that are not finite
     for t_max, sample_dt in [(math.inf, 1.0), (1e300, 1e-300), (1.0, math.inf), (None, math.inf)]:
         with pytest.raises(ValueError):
@@ -335,18 +341,17 @@ def test_event_log_records_rule_and_path():
 def test_incremental_update_splits_congruent_copies():
     m = model_of("init c (m | a b) (m | a b)\nrule ra: a => a a @ 1\nrule rc: c => c @ 1\n")
     state = m.init
-    cache: dict = {}
-    ts = TransitionStore(state, m.rules, cache)
+    ts = TransitionStore(state, m.rules)
     applied = next(t for t in ts if t.rule_id == "ra")
     assert applied.multiplicity == 2
     nxt = replace_at(state, applied.path, applied.outcome_local)
-    got = incremental_retransitions(ts, nxt, m.rules, cache)
+    got = incremental_retransitions(ts, nxt)
     assert list(got) == enumerate_transitions(nxt, m.rules)
     # go one level further: the copies are distinct now
     ts2 = got
     applied2 = next(t for t in ts2 if t.rule_id == "ra" and t.multiplicity == 1)
     nxt2 = replace_at(nxt, applied2.path, applied2.outcome_local)
-    got2 = incremental_retransitions(ts2, nxt2, m.rules, cache)
+    got2 = incremental_retransitions(ts2, nxt2)
     assert list(got2) == enumerate_transitions(nxt2, m.rules)
 
 

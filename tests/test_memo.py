@@ -1,5 +1,5 @@
-"""The per-run memo: level nodes and the element index under one weight
-budget.
+"""A store chain's memo: level nodes and the element index of one rules
+tuple under one weight budget.
 
 The memo bounds what a run keeps (defect 4: the node cache grew with every
 state a diverging run visited), it may drop any entry at any time without
@@ -14,9 +14,10 @@ import pytest
 
 from cwcsim import Model, SimConfig, parse_model, run
 from cwcsim import engine
-from cwcsim.engine import Memo, TransitionStore
+from cwcsim.engine import Memo, TransitionStore, incremental_retransitions
 from cwcsim.matching import _rows
 from cwcsim.rates import BinOp, FnRate, MatchCount
+from cwcsim.terms import replace_at
 from tests.conftest import gen_rule, gen_term, instantiate_lhs
 
 PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
@@ -57,11 +58,12 @@ def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, cou
     seen = []
     rebuild = engine.incremental_retransitions
 
-    def checked(prev, next_state, rules, memo):
+    def checked(prev, next_state):
+        memo = prev.memo
         assert memo.weight <= memo.budget == engine.MEMO_BUDGET
         assert memo.weight == sum(engine._weight(k) for k in (*memo.young, *memo.old))
         seen.append(memo.weight)
-        return rebuild(prev, next_state, rules, memo)
+        return rebuild(prev, next_state)
 
     monkeypatch.setattr(engine, "incremental_retransitions", checked)
     started = time.perf_counter()
@@ -100,9 +102,8 @@ def test_eviction_leaves_the_trajectory_unchanged(monkeypatch, counting, name, i
 
 
 def tuple_keys(memo) -> list:
-    """The memo's row keys, (id(owner), element, row sets), with entries."""
-    young, old = (memo.young, memo.old) if isinstance(memo, Memo) else (memo, {})
-    return [(k, v) for k, v in (*young.items(), *old.items()) if type(k) is tuple]
+    """The memo's row keys, (element, row sets), with entries."""
+    return [(k, v) for k, v in (*memo.young.items(), *memo.old.items()) if type(k) is tuple]
 
 
 def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
@@ -117,17 +118,18 @@ def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
             law = FnRate(BinOp("*", MatchCount(), MatchCount()))
             rules = tuple(dataclasses.replace(r, rate=law) for r in rules)
         width = sum(len(rule.lhs.slots) for rule in rules)
-        memo: dict = {}
-        for rule in rules:  # warm the memo on other contents
-            for _ in range(2):
-                list(TransitionStore(instantiate_lhs(rng, rule), rules, memo))
+        # warm the memo on other contents, listing a chain of stores
+        warm = [instantiate_lhs(rng, rule) for rule in rules for _ in range(2)]
         state = instantiate_lhs(rng, rules[trial % 3]).union(gen_term(rng, depth=2, atom_budget=4))
-        store = TransitionStore(state, rules, memo)
+        store = TransitionStore(warm[0], rules)
+        for content in warm[1:] + [state]:
+            list(store)
+            store = incremental_retransitions(store, content)
         built = list(store)  # every outcome of the store, built
         assert built == list(TransitionStore(state, rules))
         rows = 0
-        for (owner_id, el, sets), (owner, got) in tuple_keys(memo):
-            assert owner is rules and owner_id == id(rules) and sets == width
+        for (el, sets), got in tuple_keys(store.memo):
+            assert sets == width
             want = []
             for i, rule in enumerate(rules):
                 for s, slot in enumerate(rule.lhs.slots):
@@ -155,11 +157,31 @@ def test_rules_without_a_slot_keep_no_rows(monkeypatch):
     memos = []
     rebuild = engine.incremental_retransitions
 
-    def kept(prev, next_state, rules, memo):
-        memos.append(memo)
-        return rebuild(prev, next_state, rules, memo)
+    def kept(prev, next_state):
+        memos.append(prev.memo)
+        return rebuild(prev, next_state)
 
     monkeypatch.setattr(engine, "incremental_retransitions", kept)
     traj = run(Model(mf.init, mf.rules), SimConfig(max_events=300, seed=3))
     assert traj.events == 300 and memos[-1] is memos[0]
     assert memos[0].weight > 0 and tuple_keys(memos[0]) == []
+
+
+def test_a_store_chain_shares_one_memo_and_plan():
+    """A store made from a rules tuple starts its own memo and plan; every
+    successor store inherits them, with the rules, and finds its
+    predecessors' nodes in the memo."""
+    model = bundled("pho.cwc", "Pi*40 " + " ".join([PHO_CELL] * 4))
+    first = TransitionStore(model.init, model.rules)
+    assert type(first.memo) is Memo and first.memo.budget == engine.MEMO_BUDGET
+    other = TransitionStore(model.init, model.rules)
+    assert other.memo is not first.memo and other.root is not first.root
+    store, state = first, model.init
+    for _ in range(20):
+        chosen = next(iter(store))
+        state = replace_at(state, chosen.path, chosen.outcome_local)
+        store = incremental_retransitions(store, state)
+        assert store.rules is first.rules and store.plan is first.plan
+        assert store.memo is first.memo
+    again = incremental_retransitions(store, model.init)
+    assert again.root is first.root  # the first root, from the shared memo

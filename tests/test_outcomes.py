@@ -22,7 +22,7 @@ from cwcsim import (
     parse_term,
     run,
 )
-from cwcsim.engine import TransitionStore
+from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import level_matches, level_outcomes, outcome_terms
 from cwcsim.pattern import apply_subst
 from cwcsim.rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num, rate_of
@@ -121,14 +121,14 @@ def test_store_equals_eager_along_random_walks(name, init):
     for rules in (bundled(name, init), with_law(bundled(name, init), law)):
         rng = random.Random(14)
         state = parse_term(init)
-        cache: dict = {}
+        store = TransitionStore(state, rules)
         for _ in range(100):
-            store = TransitionStore(state, rules, cache)
             assert_same_rows(lazy(store), eager(state, rules))
             if not store:
                 break
             chosen = store.select(rng.random() * store.total)
             state = replace_at(state, chosen.path, chosen.outcome_local)
+            store = incremental_retransitions(store, state)
     assert time.perf_counter() - started < 10.0
 
 
@@ -248,8 +248,7 @@ MEMO = parse_model(
 
 
 def test_selection_builds_each_outcome_once(monkeypatch):
-    cache: dict = {}
-    store = TransitionStore(MEMO.init, MEMO.rules, cache)
+    store = TransitionStore(MEMO.init, MEMO.rules)
     bounds = [0.0]
     for t in TransitionStore(MEMO.init, MEMO.rules):  # its own cache and outcomes
         bounds.append(bounds[-1] + t.rate)
@@ -259,15 +258,14 @@ def test_selection_builds_each_outcome_once(monkeypatch):
         for target in midpoints:
             store.select(target)
         assert len(calls) == len(store)  # one build per entry, on first use
-        store = TransitionStore(MEMO.init, MEMO.rules, cache)
+        store = incremental_retransitions(store, MEMO.init)  # its root from the memo
 
 
 def test_iterating_a_store_twice_builds_nothing_new(monkeypatch):
-    cache: dict = {}
-    store = TransitionStore(MEMO.init, MEMO.rules, cache)
+    store = TransitionStore(MEMO.init, MEMO.rules)
     calls = count_subtract(monkeypatch)
     first = list(store)
     assert len(calls) == len(first) > 3
     assert list(store) == first and len(calls) == len(first)
-    assert list(TransitionStore(MEMO.init, MEMO.rules, cache)) == first
+    assert list(incremental_retransitions(store, MEMO.init)) == first
     assert len(calls) == len(first)
