@@ -32,34 +32,34 @@ recomputation.
 
 Every missed node is derived (_derived) from a node that keeps a _Level:
 the previous root, when the store has one of a few classes or more, else
-the empty level (_EMPTY), against which every class and atom is new.
-Walking the two canonical levels side by side finds the classes and atoms
-that changed.  Only those are looked up in matching's element index,
-tallied into every top-level slot's summed weight and match count, and
-built; every other class keeps its child and its share of the sums, and
-only the rules the changes touch, the rules that are always enumerated and
-the rules that had an entry are counted and rated.  A root derived from
-the previous one thus costs lookups, tallies and rule counts in the
-changed classes, plus one pass over its classes to splice the child tuple
-and sum the total.  A node's total is the fsum of the same list whichever
-level it came from, so rates, selection and seeded output do not depend
-on it.
+the empty level (_EMPTY), against which every class is new.  Walking the
+two canonical levels side by side finds the compartment classes that
+changed.  Only those are looked up in matching's element index, tallied
+into every top-level slot's summed weight and match count, and built;
+every other class keeps its child and its share of the sums.  Every rule
+is then counted and rated on the new level, in rule order: a rule no
+class or atom enables counts to nothing at the cost of one lookup in the
+sums or one atom count, so nothing records which rules a change touches,
+and no enabled rule can be missed.  A root derived from the previous one
+thus costs lookups and tallies in the changed classes, one count per
+rule, and one pass over its classes to splice the child tuple and sum the
+total.  A node's total is the fsum of the same list whichever level it
+came from, so rates, selection and seeded output do not depend on it.
 
-Each chain of stores owns one memo (Memo): TransitionStore starts it with
-the rules' _Plan, and incremental_retransitions hands both on with the
-rules, so a memo serves exactly one rules tuple.  It keeps nodes keyed by
-level content, and the rows of every top-level slot on one compartment
-element keyed by (element, number of top-level slots); nested slot levels
-are computed inside an index miss and not kept.  An entry weighs the size
-its key's content or element caches, times the row sets an index key
-names; MEMO_BUDGET bounds the summed weight over two generations, so a
-diverging run keeps a bounded memo.  Eviction is safe: a store holds its
-nodes directly, every node its children and Outcomes, a root its _Level,
-and an evicted entry is rebuilt equal from its key alone.  A run's memo is
-not shared across replicates, because a shared memo cost more in memory
-and garbage collection than its hits saved.  A finished run's final state
-goes through terms.shared, so trajectories kept side by side share their
-equal subterms.
+Each chain of stores owns one memo (Memo): TransitionStore starts it, and
+incremental_retransitions hands it on with the rules, so a memo serves
+exactly one rules tuple.  It keeps nodes keyed by level content, and the
+rows of every top-level slot on one compartment element keyed by (element,
+number of top-level slots); nested slot levels are computed inside an
+index miss and not kept.  An entry weighs the size its key's content or
+element caches, times the row sets an index key names; MEMO_BUDGET bounds
+the summed weight over two generations, so a diverging run keeps a bounded
+memo.  Eviction is safe: a store holds its nodes directly, every node its
+children and Outcomes, a root its _Level, and an evicted entry is rebuilt
+equal from its key alone.  A run's memo is not shared across replicates,
+because a shared memo cost more in memory and garbage collection than its
+hits saved.  A finished run's final state goes through terms.shared, so
+trajectories kept side by side share their equal subterms.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from math import fsum, inf, isclose, isfinite, log, nextafter
 from random import Random
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import CwcError
 from .matching import Counted, _element_rows, counted_matches, level_outcomes, slot_candidates
@@ -115,9 +115,11 @@ class SimConfig:
     log_events: bool = False
 
     def __post_init__(self):
-        for name in ("max_events", "replicates", "max_term_size", "max_depth"):
+        for name in ("seed", "max_events", "replicates", "max_term_size", "max_depth"):
             value = getattr(self, name)
-            if not isinstance(value, int) and not (value is None and name == "max_events"):
+            if value is None and name == "max_events":
+                continue
+            if not isinstance(value, int) or type(value) is bool:
                 raise ValueError(f"{name} must be an integer")
         if self.t_max is None and self.max_events is None:
             raise ValueError("need a time horizon or an event cap")
@@ -245,27 +247,6 @@ def _weight(key) -> int:
     return key.size if type(key) is Term else key[0].size * key[1]
 
 
-class _Plan(NamedTuple):
-    """What building a level reads of a rules tuple besides each rule."""
-
-    width: int  # top-level slots, which key the element index
-    always: frozenset  # rules with a ground compartment or a law not n-linear
-    readers: dict  # per atom, the rules whose pattern or count_l reads it
-
-
-def _plan(rules: tuple) -> _Plan:
-    readers: dict = {}
-    for r, rule in enumerate(rules):
-        for a in {a for a, _ in rule.lhs.atoms} | rule.rate.reads:
-            readers.setdefault(a, []).append(r)
-    return _Plan(
-        sum(len(rule.lhs.slots) for rule in rules),
-        frozenset(r for r, rule in enumerate(rules)
-                  if rule.lhs.grounds or not rule.rate.n_linear),
-        readers,
-    )
-
-
 class _Level:
     """What a node is derived from besides its entries and children:
     its content; tables, the element index entry (matching._element_rows)
@@ -293,16 +274,15 @@ DERIVE_FROM = 3
 _EMPTY = _Node((), (), _Level(EMPTY, {}, {}, {}))
 
 
-def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict, todo: set):
+def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict):
     """Add copies times one compartment class's element index entry table
     to the weights in sums, sign times its rows to the matches in sums and
-    its shared slots to shared, and the rules it touches to todo."""
+    its shared slots to shared."""
     last = None
     for key, rows, summed in table:
         weight, matches = sums[key] if key in sums else (0, 0)
         sums[key] = (weight + copies * summed, matches + sign * len(rows))
         r = key[0]
-        todo.add(r)
         if r == last and sign:
             k = shared.get(r, 0) + sign
             if k:
@@ -312,21 +292,17 @@ def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict, todo:
         last = r
 
 
-def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, plan: _Plan) -> tuple:
-    """(tables, sums, shared, todo, children) of content, derived from
-    base, a node of another content that keeps a _Level, by walking both
-    contents in canonical order and comparing elements by identity first.
-    An element whose copy count did not change keeps its table, its share
-    of sums and shared, and its child; the others are tallied out and in,
-    and a new class is looked up in the element index and its child built.
-    todo lists, in rule order, the rules to count and rate: those the
-    changed classes or atoms touch (a rule without a slot has atoms or
-    grounds), those the plan always counts or whose classes are shared,
-    and those that had an entry, which must be rebound to the new content."""
+def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, width: int) -> tuple:
+    """(tables, sums, shared, children) of content, derived from base, a
+    node of another content that keeps a _Level, by walking both contents
+    in canonical order and comparing elements by identity first.  A
+    compartment class whose copy count did not change keeps its table, its
+    share of sums and shared, and its child; the others are tallied out and
+    in, and a new class is looked up in the element index (keyed by width,
+    the rules' top-level slot count) and its child built.  Atoms have no
+    table: the rules that read them are counted on content itself."""
     old = base.level
-    width, always, readers = plan
     tables, sums, shared = dict(old.tables), dict(old.sums), dict(old.shared)
-    todo = set(always)
     changes, children = [], []
     olds, kids = old.content.items, base.children
     end, ends = len(olds), len(kids)
@@ -346,7 +322,7 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, plan: _
             changes.append((el, was, cnt))
         if type(el) is Compartment and not was:
             tables[el] = _element_rows(rules, el, memo, width) if width else ()
-            child = _node(el.content, rules, memo, path + ((j, 0),), plan)
+            child = _node(el.content, rules, memo, path + ((j, 0),), width)
             if child.count:
                 children.append((j, cnt, child))
         elif type(el) is Compartment:
@@ -359,36 +335,34 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, plan: _
     changes.extend((o, n, 0) for o, n in olds[i:])
     for el, was, cnt in changes:
         if type(el) is not Compartment:
-            todo.update(readers.get(el, ()))
-        elif not cnt:
-            _tally(tables.pop(el), -was if el.has_atoms else -1, -1, sums, shared, todo)
+            continue
+        if not cnt:
+            _tally(tables.pop(el), -was if el.has_atoms else -1, -1, sums, shared)
         elif not was:
-            _tally(tables[el], cnt if el.has_atoms else 1, 1, sums, shared, todo)
+            _tally(tables[el], cnt if el.has_atoms else 1, 1, sums, shared)
         elif el.has_atoms:  # else one copy counts, before and after
-            _tally(tables[el], cnt - was, 0, sums, shared, todo)
-    todo.update(shared)
-    todo.update(e[0] for e in base.local)
-    return tables, sums, shared, sorted(todo), children
+            _tally(tables[el], cnt - was, 0, sums, shared)
+    return tables, sums, shared, children
 
 
-def _node(content: Term, rules: tuple, memo, path: Path, plan: _Plan, base=_EMPTY) -> _Node:
+def _node(content: Term, rules: tuple, memo, path: Path, width: int, base=_EMPTY) -> _Node:
     """The node of content, from memo or, on a miss, derived (_derived)
     from base, the root node of the previous state, when base keeps a
     _Level, else from the empty level; path is where the content was met,
-    for error messages only, and plan the rules' _Plan.  Each rule the
-    derivation lists is counted (matching.counted_matches) or enumerated,
-    and rated.  A root of at least DERIVE_FROM classes keeps its _Level.  A
-    node holds its children directly, so evicting a node from the memo
-    never invalidates its parents."""
+    for error messages only, and width the rules' top-level slot count.
+    Every rule is counted (matching.counted_matches) or enumerated, and
+    rated, in rule order; a rule no class or atom enables counts to []
+    from the sums or its atoms.  A root of at least DERIVE_FROM classes
+    keeps its _Level.  A node holds its children directly, so evicting a
+    node from the memo never invalidates its parents."""
     node = memo.get(content)
     if node is not None:
         return node
     if base.level is None:
         base = _EMPTY
-    tables, sums, shared, todo, children = _derived(base, content, rules, memo, path, plan)
+    tables, sums, shared, children = _derived(base, content, rules, memo, path, width)
     local = []
-    for r in todo:
-        rule = rules[r]
+    for r, rule in enumerate(rules):
         entries = counted_matches(rule, r, content, tables, sums, shared)
         if entries is None:  # enumerated from the classes' candidates
             slots = slot_candidates(content, tables, r, len(rule.lhs.slots))
@@ -430,24 +404,25 @@ def _node(content: Term, rules: tuple, memo, path: Path, plan: _Plan, base=_EMPT
 
 class TransitionStore:
     """The enabled transitions of one state as a tree of level nodes.  A
-    store made from a rules tuple starts the tuple's _Plan and a Memo of
-    its own, which maps level contents to nodes and compartment elements to
-    their index entries; its successors (incremental_retransitions) inherit
-    all three, so a memo serves exactly one rules tuple.  len() counts the
+    store made from a rules tuple keeps the tuple, its top-level slot count
+    (width, which keys the element index) and a Memo of its own, which maps
+    level contents to nodes and compartment elements to their index
+    entries; its successors (incremental_retransitions) inherit all three,
+    so a memo serves exactly one rules tuple.  len() counts the
     transitions, one per match class of a counted entry, and total sums
     their rates.  Iteration yields them in canonical pre-order from a list
     built once and kept, so one store always yields the same objects."""
 
-    __slots__ = ("rules", "plan", "memo", "root", "total", "_list")
+    __slots__ = ("rules", "width", "memo", "root", "total", "_list")
 
     def __init__(self, state: Term, rules):
         self.rules = tuple(rules)
-        self.plan = _plan(self.rules)
+        self.width = sum(len(rule.lhs.slots) for rule in self.rules)
         self.memo = Memo(MEMO_BUDGET)
         self._rate(state, _EMPTY)
 
     def _rate(self, state: Term, base: _Node) -> "TransitionStore":
-        self.root = _node(state, self.rules, self.memo, (), self.plan, base)
+        self.root = _node(state, self.rules, self.memo, (), self.width, base)
         self.total = self.root.total
         self._list = None
         return self
@@ -520,13 +495,13 @@ def enumerate_transitions(state: Term, rules) -> list:
 
 def incremental_retransitions(prev: TransitionStore, next_state: Term) -> TransitionStore:
     """The store after one event, given the store before it, whose rules,
-    plan and memo it inherits.  A root the memo holds is reused.  A missed
-    root is derived from prev's root: only the compartment classes and
-    atoms the event changed are looked up in the element index, tallied and
-    built, every other class keeps its subtree, and only the rules those
-    changes touch are counted and rated again (module docstring)."""
+    width and memo it inherits.  A root the memo holds is reused.  A missed
+    root is derived from prev's root: only the compartment classes the
+    event changed are looked up in the element index, tallied and built,
+    every other class keeps its subtree, and every rule is counted and
+    rated again on the new root (module docstring)."""
     store = object.__new__(TransitionStore)
-    store.rules, store.plan, store.memo = prev.rules, prev.plan, prev.memo
+    store.rules, store.width, store.memo = prev.rules, prev.width, prev.memo
     return store._rate(next_state, prev.root)
 
 

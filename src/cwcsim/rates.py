@@ -31,8 +31,7 @@ class MassAction:
     """Rate k * n; k is a nonnegative constant with units 1/time."""
 
     k: float
-    n_linear = True  # class constants, not fields
-    reads = frozenset()
+    n_linear = True  # a class constant, not a field
 
     def __post_init__(self):
         if not math.isfinite(self.k) or self.k < 0:
@@ -118,21 +117,12 @@ def _free_of_n(e: RateExpr) -> bool:
     return not isinstance(e, (MatchCount, CountR))
 
 
-def _count_l_atoms(e: RateExpr) -> frozenset:
-    """The atoms whose count_l e reads."""
-    if isinstance(e, BinOp):
-        return _count_l_atoms(e.left) | _count_l_atoms(e.right)
-    return frozenset([e.atom]) if isinstance(e, CountL) else frozenset()
-
-
 @dataclass(frozen=True)
 class FnRate:
-    """A function rate; n_linear as in the module docstring, and reads the
-    atoms whose count in the matched content it reads (count_l)."""
+    """A function rate; n_linear as in the module docstring."""
 
     expr: RateExpr
     n_linear: bool = field(init=False, repr=False, compare=False)
-    reads: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = self.expr
@@ -141,7 +131,6 @@ class FnRate:
             or isinstance(e.right, MatchCount) and _free_of_n(e.left)
         )
         object.__setattr__(self, "n_linear", linear)
-        object.__setattr__(self, "reads", _count_l_atoms(e))
 
     def __str__(self):
         return f"fn({self.expr})"

@@ -204,8 +204,10 @@ class Term:
         return f"Term[{format_term(self)}]"
 
     def count_atom_top(self, atom: Atom) -> int:
-        for el, n in self.items:
-            if type(el) is Atom and el.name == atom.name:
+        for el, n in self.items:  # atoms sort before compartments
+            if type(el) is not Atom:
+                break
+            if el.name == atom.name:
                 return n
         return 0
 

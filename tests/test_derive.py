@@ -1,6 +1,6 @@
 """Derived roots: a missed root node is derived from the previous root, so
-an event costs lookups, tallies and rule counts in the compartment classes
-it changed, not in every class of the crowd.
+an event costs lookups and tallies in the compartment classes it changed,
+not in every class of the crowd, and one count of every rule.
 
 A derived root must equal a fresh build of the same content -- the same
 local entries, children, total and count, and the same listed transitions

@@ -316,9 +316,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(t_max=1.0, replicates=0)
     # counts and limits that are not integers, and negative limits, which
-    # used to escape as TypeError, run 3 events for 2.5, or fail at t = 0
+    # used to escape as TypeError, run 3 events for 2.5, or fail at t = 0;
+    # seeds that are not integers, which derive_seed used to hash as text,
+    # and bools, which used to pass as 0 or 1 (max_events=True ran 1 event)
     for bad in ({"replicates": 2.5}, {"max_events": 2.5}, {"max_term_size": 1e6},
-                {"max_depth": 4.0}, {"max_depth": -1}, {"max_term_size": -1}):
+                {"max_depth": 4.0}, {"max_depth": -1}, {"max_term_size": -1},
+                {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"max_events": True},
+                {"replicates": True}, {"max_term_size": False}, {"max_depth": True}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(t_max=1.0, **bad)
     # sample grids that are not finite

@@ -167,13 +167,14 @@ def test_rules_without_a_slot_keep_no_rows(monkeypatch):
     assert memos[0].weight > 0 and tuple_keys(memos[0]) == []
 
 
-def test_a_store_chain_shares_one_memo_and_plan():
-    """A store made from a rules tuple starts its own memo and plan; every
-    successor store inherits them, with the rules, and finds its
-    predecessors' nodes in the memo."""
+def test_a_store_chain_shares_one_memo_and_width():
+    """A store made from a rules tuple starts its own memo and keeps the
+    rules' top-level slot count; every successor store inherits both, with
+    the rules, and finds its predecessors' nodes in the memo."""
     model = bundled("pho.cwc", "Pi*40 " + " ".join([PHO_CELL] * 4))
     first = TransitionStore(model.init, model.rules)
-    assert type(first.memo) is Memo and first.memo.budget == engine.MEMO_BUDGET
+    width = sum(len(rule.lhs.slots) for rule in model.rules)
+    assert width > 0 and type(first.memo) is Memo and first.memo.budget == engine.MEMO_BUDGET
     other = TransitionStore(model.init, model.rules)
     assert other.memo is not first.memo and other.root is not first.root
     store, state = first, model.init
@@ -181,7 +182,7 @@ def test_a_store_chain_shares_one_memo_and_plan():
         chosen = next(iter(store))
         state = replace_at(state, chosen.path, chosen.outcome_local)
         store = incremental_retransitions(store, state)
-        assert store.rules is first.rules and store.plan is first.plan
+        assert store.rules is first.rules and store.width == first.width == width
         assert store.memo is first.memo
     again = incremental_retransitions(store, model.init)
     assert again.root is first.root  # the first root, from the shared memo

@@ -25,6 +25,7 @@ from cwcsim.terms import (
     replace_at,
     resolve,
 )
+from tests.conftest import ATOM_NAMES, gen_term, levels
 
 atoms = st.sampled_from("a b c d".split()).map(Atom)
 bags = st.lists(atoms, max_size=3).map(atom_bag)
@@ -247,3 +248,14 @@ def test_count_atom_weights_congruent_copies():
     t = parse_term("(m | a a) (m | a a) (m | a a)")
     assert count_atom(t, Atom("a"), Scope("inside", Atom("m"))) == 6
     assert count_atom(t, Atom("m"), Scope("on-wrap")) == 3
+
+
+def test_count_atom_top_equals_a_sum_over_the_top_atoms(rng):
+    """count_atom_top stops at the first compartment, since atoms sort
+    first; on random states, at every level, it must still count every top
+    atom, and 0 for an atom absent there."""
+    for _ in range(300):
+        for _, content in levels(gen_term(rng, depth=3)):
+            for name in ATOM_NAMES + ("e",):
+                want = sum(n for el, n in content.atoms_top() if el.name == name)
+                assert content.count_atom_top(Atom(name)) == want
