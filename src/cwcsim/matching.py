@@ -17,8 +17,15 @@ C[lhs sigma] -> C[rhs sigma].  level_matches gives each match as its
 bindings, the (element, count) pairs it consumes and its count; the
 level's own residue stays unbound, while every slot level inside binds its
 residue to what its match leaves there.  An `Outcome` holds one match and,
-when its term is asked for, binds the residue to content - consumed and
-instantiates the rule's right-hand side once.
+when its term is asked for, instantiates the rule's right-hand side once,
+with the residue standing for content - consumed.  When the residue is
+the only variable of the right-hand side's top level, there once, and
+occurs nowhere else in it (Rule.splice_residue), it is bound to content
+itself, and apply_subst splices the right-hand side's other top-level
+items into it and removes the consumed pairs in one pass, so content -
+consumed is never built; otherwise the residue is bound to
+content.subtract(consumed).  A spliced outcome shares content's objects:
+every element of it equal to one of content's is that object.
 
 How matches become outcomes depends on the rate law.  Under an n-linear
 law (`rates` module docstring) the summed rate into each outcome does not
@@ -341,9 +348,11 @@ def _index_of(content: Term, element) -> int:
 class Outcome:
     """One local outcome of a rule at a level content, held as its match:
     bindings, with the level's residue unbound, and the (element, count)
-    pairs it consumes.  term binds the residue to what the match leaves,
-    instantiates the whole right-hand side once and keeps the result,
-    dropping the match."""
+    pairs it consumes.  term instantiates the whole right-hand side once,
+    the residue standing for what the match leaves, and keeps the result,
+    dropping the match: a rule that splices its residue binds it to
+    content and has apply_subst remove the consumed pairs in the same
+    splice; any other binds it to content.subtract(consumed)."""
 
     __slots__ = ("rule", "content", "bindings", "consumed", "_term")
     count = 1  # the transitions it lists, as Counted.count
@@ -362,8 +371,13 @@ class Outcome:
     def term(self) -> Term:
         """The outcome term, built on the first call and kept."""
         if self._term is None:
-            self.bindings[self.rule.lhs.residue] = self.content.subtract(self.consumed)
-            self._term = apply_subst(self.rule.rhs, self.bindings)
+            rule, bindings = self.rule, self.bindings
+            if rule.splice_residue:  # content - consumed is never built
+                bindings[rule.lhs.residue] = self.content
+                self._term = apply_subst(rule.rhs, bindings, self.consumed)
+            else:
+                bindings[rule.lhs.residue] = self.content.subtract(self.consumed)
+                self._term = apply_subst(rule.rhs, bindings)
             self.rule = self.content = self.bindings = self.consumed = None
         return self._term
 

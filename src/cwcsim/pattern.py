@@ -9,6 +9,7 @@ discipline, in one walk of each side and a compile of the left.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -93,19 +94,32 @@ class OpenCompartment:
 
 
 class OpenTerm:
-    """A canonical multiset of atoms, term variables, and open compartments."""
+    """A canonical multiset of atoms, term variables, and open compartments.
 
-    __slots__ = ("items", "_key", "_hash", "is_ground")
+    splice is the level's variable when it holds exactly one, once, and
+    None otherwise; rest is then the level's other items (apply_subst).
+    """
+
+    __slots__ = ("items", "_key", "_hash", "is_ground", "splice", "rest")
 
     def __init__(self, elements: Iterable = ()):
         what = "open term element expected"
-        self.items = _canonical(_checked(elements, (Atom, Variable, OpenCompartment), what))
-        self._key = tuple((el._key, n) for el, n in self.items)
+        self.items = items = _canonical(
+            _checked(elements, (Atom, Variable, OpenCompartment), what)
+        )
+        self._key = tuple((el._key, n) for el, n in items)
         self._hash = hash(self._key)
         self.is_ground = all(
             type(el) is Atom or (type(el) is OpenCompartment and el.is_ground)
-            for el, _ in self.items
+            for el, _ in items
         )
+        # variables sort after atoms and compartments
+        once = (
+            items and type(items[-1][0]) is Variable and items[-1][1] == 1
+            and (len(items) == 1 or type(items[-2][0]) is not Variable)
+        )
+        self.splice = items[-1][0] if once else None
+        self.rest = items[:-1] if once else None
 
     def __eq__(self, other):
         return self is other or (type(other) is OpenTerm and other._key == self._key)
@@ -146,21 +160,58 @@ class SubstitutionError(CwcError):
         self.code = code
 
 
-def apply_subst(o: OpenTerm, subst: Mapping) -> Term:
+def apply_subst(o: OpenTerm, subst: Mapping, consumed=()) -> Term:
     """Instantiate an open term: term variables splice terms into their level,
     wrap variables splice atom multisets into their wrap.  The result is
-    canonical."""
+    canonical.
+
+    A level with one variable, once (OpenTerm.splice), starts from the
+    items of its value and inserts its other items by bisect on _key; an
+    equal element of the value gets the count added and stays the value's
+    object.  A level that is only the variable is its value itself.
+    consumed, (element, count) pairs of the top level's value, is removed
+    from it in the same splice, after the insertions, so an element both
+    consumed and produced stays the value's object too (matching.Outcome).
+    Any other level is merged and sorted by _canonical, which keeps a term
+    variable's objects the same way."""
+    v = o.splice
+    if v is None:
+        return Term._of(_canonical(_instantiated(o.items, subst)))
+    value = _term_value(subst, v)
+    if not o.rest and not consumed:
+        return value
+    items = list(value.items)
+    for el, n in _instantiated(o.rest, subst):
+        key = el._key
+        i = bisect_left(items, key, key=_element_key)
+        if i < len(items) and items[i][0]._key == key:
+            items[i] = (items[i][0], items[i][1] + n)
+        else:
+            items.insert(i, (el, n))
+    for el, n in consumed:
+        i = bisect_left(items, el._key, key=_element_key)
+        if i == len(items) or items[i][0] != el or items[i][1] < n:
+            raise ValueError(f"apply_subst: {el!r} is not consumable from ${v.name}")
+        if items[i][1] == n:
+            del items[i]
+        else:
+            items[i] = (items[i][0], items[i][1] - n)
+    return Term._of(tuple(items))
+
+
+def _element_key(pair) -> tuple:
+    return pair[0]._key
+
+
+def _instantiated(items: tuple, subst: Mapping) -> list:
+    """The (element, count) pairs of open-term items instantiated: a term
+    variable's items after the level's own, as they sort."""
     out = []
-    for el, n in o.items:
+    for el, n in items:
         if type(el) is Atom:
             out.append((el, n))
         elif type(el) is Variable:
-            value = _lookup(subst, el)
-            if not isinstance(value, Term):
-                raise SubstitutionError(
-                    "kind-mismatch", f"variable ${el.name} needs a Term value"
-                )
-            for sub_el, k in value.items:
+            for sub_el, k in _term_value(subst, el).items:
                 out.append((sub_el, k * n))
         else:
             wrap = list(el.wrap_atoms)
@@ -173,7 +224,14 @@ def apply_subst(o: OpenTerm, subst: Mapping) -> Term:
                 wrap.extend((a, m * k) for a, m in value)
             content = apply_subst(el.content, subst)
             out.append((Compartment._of(_canonical(wrap), content), n))
-    return Term._of(_canonical(out))
+    return out
+
+
+def _term_value(subst: Mapping, v: Variable) -> Term:
+    value = _lookup(subst, v)
+    if not isinstance(value, Term):
+        raise SubstitutionError("kind-mismatch", f"variable ${v.name} needs a Term value")
+    return value
 
 
 def _lookup(subst: Mapping, v: Variable):
@@ -230,6 +288,8 @@ class Rule:
     """A validated rewrite rule with its compiled left-hand side.  A match
     rewrites the matched content to rhs instantiated with its bindings, the
     top residue variable bound to what the match leaves (matching.Outcome).
+    splice_residue is set when rhs's top level splices that residue
+    (OpenTerm.splice) and it occurs nowhere else in rhs.
     """
 
     id: str
@@ -237,6 +297,7 @@ class Rule:
     rhs: OpenTerm
     rate: object
     lhs_open: OpenTerm = field(repr=False, default=None)
+    splice_residue: bool = field(repr=False, default=False)
 
 
 def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1") -> Rule:
@@ -284,7 +345,9 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
         from .rates import MassAction
 
         rate = MassAction(1.0)
-    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs)
+    splice_residue = rhs.splice == level.residue and rhs_occurrences[level.residue] == 1
+    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs,
+                splice_residue=splice_residue)
 
 
 def _occurrences(o: OpenTerm, issues: list, side: str, copies: int = 1, acc=None) -> dict:

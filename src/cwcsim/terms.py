@@ -68,9 +68,9 @@ def _checked(items: Iterable, kinds, what: str) -> list:
 def _canonical(pairs: Iterable) -> tuple:
     """The canonical form of a multiset: counts of equal elements merged,
     zero counts dropped, pairs sorted by ``_key``.  Of equal elements the
-    last is kept, so an instantiated right-hand side shares the matched
-    content's objects: a term variable's items come after the right-hand
-    side's own atoms and compartments."""
+    last is kept, so a right-hand side level that apply_subst cannot
+    splice still shares the matched content's objects: a term variable's
+    items come after the level's own atoms and compartments."""
     merged: dict = {}
     for el, n in pairs:
         if n:
@@ -149,6 +149,9 @@ class Compartment:
     def __repr__(self):
         return f"Compartment({self.wrap!r}, {self.content!r})"
 
+    def __reduce__(self):
+        return Compartment._of, (self.wrap, self.content)
+
 
 SimpleTerm = Union[Atom, Compartment]
 
@@ -203,6 +206,9 @@ class Term:
 
         return f"Term[{format_term(self)}]"
 
+    def __reduce__(self):
+        return _unflatten, (_flatten(self),)
+
     def count_atom_top(self, atom: Atom) -> int:
         for el, n in self.items:  # atoms sort before compartments
             if type(el) is not Atom:
@@ -251,10 +257,47 @@ class Term:
 
 EMPTY = Term()
 
+
+def _flatten(t: Term) -> tuple:
+    """t and every term inside it, each once and after every term its
+    compartments hold, as item tuples in which a compartment is (wrap,
+    index of its content's tuple): the encoding a term pickles by, built by
+    a loop, so that no nesting depth makes pickle recurse."""
+    index: dict = {}  # id of a term -> its position in out
+    out = []
+    stack = [t]
+    while stack:
+        top = stack[-1]
+        inner = [
+            el.content for el, _ in top.items
+            if type(el) is Compartment and id(el.content) not in index
+        ]
+        if inner:
+            stack.extend(inner)
+        elif id(stack.pop()) not in index:
+            index[id(top)] = len(out)
+            out.append(tuple(
+                (el if type(el) is Atom else (el.wrap, index[id(el.content)]), n)
+                for el, n in top.items
+            ))
+    return tuple(out)
+
+
+def _unflatten(flat: tuple) -> Term:
+    """The term _flatten encoded, its last tuple, built innermost first."""
+    built = []
+    for items in flat:
+        built.append(Term._of(tuple(
+            (el if type(el) is Atom else Compartment._of(el[0], built[el[1]]), n)
+            for el, n in items
+        )))
+    return built[-1]
+
+
 # The deepest compartment nesting that every recursive walk of a term (the
 # parser, the engine's node builder, shared) handles within Python's default
-# recursion limit.  The parser rejects deeper terms, and SimConfig.max_depth
-# may not exceed it.
+# recursion limit; pickling walks none (_flatten).  The parser rejects
+# deeper terms, and SimConfig.max_depth may not exceed it.
 MAX_DEPTH = 256
 
 

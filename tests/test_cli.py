@@ -231,6 +231,22 @@ def test_run_replicates_and_aggregate_shape(write, tmp_path):
     assert (t, mean, sd) == ("0.0", "10.0", "0.0")
 
 
+def test_parallel_replicates_return_deep_final_states(write, tmp_path):
+    # 8 of these 30 final states are deeper than 98, which pickle once
+    # could not send back from a worker
+    path = write(
+        "init a\nrule stop: a => b @ 0.01\nrule grow: a => (m | a) @ 1\n"
+        "tmax 100000\nsample 1000\n"
+    )
+    args = ["run", path, "--seed", "1", "--replicates", "30"]
+    assert main(args + ["--jobs", "2", "--out-dir", str(tmp_path / "two")]) == 0
+    assert main(args + ["--jobs", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    written = sorted(p.name for p in (tmp_path / "two").iterdir())
+    assert len(written) == 31
+    for name in written:
+        assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name, shallow=False)
+
+
 def test_run_is_deterministic_per_seed(write, tmp_path):
     path = write(DEATH)
     a, b, c = (tmp_path / d for d in ("a", "b", "c"))

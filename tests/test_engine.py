@@ -187,6 +187,16 @@ def test_replicates_use_independent_streams():
     assert parallel == serial
 
 
+def test_a_deep_final_state_survives_the_process_pool():
+    # a worker's trajectory is pickled back; a 200-deep term once exceeded
+    # pickle's recursion limit there
+    m = model_of("init a\nrule grow: a => (m | a) @ 1\n")
+    cfg = SimConfig(max_events=200, seed=1, replicates=2)
+    parallel = run_replicates(m, cfg, jobs=2)
+    assert [tr.final_state.depth for tr in parallel] == [200, 200]
+    assert parallel == run_replicates(m, cfg, jobs=1)
+
+
 class InProcessPool:
     """Stands for ProcessPoolExecutor, records max_workers and starts no
     process."""

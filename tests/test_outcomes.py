@@ -23,10 +23,10 @@ from cwcsim import (
     run,
 )
 from cwcsim.engine import TransitionStore, incremental_retransitions
-from cwcsim.matching import level_matches, level_outcomes, outcome_terms
-from cwcsim.pattern import apply_subst
+from cwcsim.matching import Outcome, level_matches, level_outcomes, outcome_terms
+from cwcsim.pattern import Variable, apply_subst
 from cwcsim.rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num, rate_of
-from cwcsim.terms import Atom, replace_at
+from cwcsim.terms import Atom, Compartment, _canonical, replace_at
 from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
 
 A, B = Atom("a"), Atom("b")
@@ -212,7 +212,9 @@ def test_n_linear_classification(law, linear):
     assert parse_rule(f"a $X -> b $X @ {law}").rate.n_linear is linear
 
 
-def test_a_run_instantiates_about_one_right_hand_side_per_event(monkeypatch):
+def count_builds(monkeypatch) -> list:
+    """Every outcome build from here on: Outcome.term instantiates the
+    right-hand side with one call of matching's apply_subst."""
     calls = []
 
     def counted(*args):
@@ -220,23 +222,16 @@ def test_a_run_instantiates_about_one_right_hand_side_per_event(monkeypatch):
         return apply_subst(*args)
 
     monkeypatch.setattr("cwcsim.matching.apply_subst", counted)
+    return calls
+
+
+def test_a_run_instantiates_about_one_right_hand_side_per_event(monkeypatch):
+    calls = count_builds(monkeypatch)
     init = "Pi*80 " + " ".join([PHO_CELL] * 4)
     rules = bundled("pho.cwc", init)
     traj = run(Model(parse_term(init), rules), SimConfig(max_events=200, seed=3))
     assert traj.events == 200
     assert len(calls) <= 1.5 * traj.events
-
-
-def count_subtract(monkeypatch) -> list:
-    calls = []
-    original = Term.subtract
-
-    def counted(self, pairs):
-        calls.append(self)
-        return original(self, pairs)
-
-    monkeypatch.setattr(Term, "subtract", counted)
-    return calls
 
 
 MEMO = parse_model(
@@ -253,7 +248,7 @@ def test_selection_builds_each_outcome_once(monkeypatch):
     for t in TransitionStore(MEMO.init, MEMO.rules):  # its own cache and outcomes
         bounds.append(bounds[-1] + t.rate)
     midpoints = [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
-    calls = count_subtract(monkeypatch)
+    calls = count_builds(monkeypatch)
     for _ in range(3):
         for target in midpoints:
             store.select(target)
@@ -263,9 +258,68 @@ def test_selection_builds_each_outcome_once(monkeypatch):
 
 def test_iterating_a_store_twice_builds_nothing_new(monkeypatch):
     store = TransitionStore(MEMO.init, MEMO.rules)
-    calls = count_subtract(monkeypatch)
+    calls = count_builds(monkeypatch)
     first = list(store)
     assert len(calls) == len(first) > 3
     assert list(store) == first and len(calls) == len(first)
     assert list(incremental_retransitions(store, MEMO.init)) == first
     assert len(calls) == len(first)
+
+
+def canonical_instance(o, subst: dict) -> Term:
+    """o instantiated with every level merged and sorted by _canonical."""
+    out = []
+    for el, n in o.items:
+        if type(el) is Atom:
+            out.append((el, n))
+        elif type(el) is Variable:
+            out.extend((x, k * n) for x, k in subst[el].items)
+        else:
+            wrap = list(el.wrap_atoms)
+            wrap.extend((a, m * k) for v, k in el.wrap_vars for a, m in subst[v])
+            out.append((Compartment._of(_canonical(wrap), canonical_instance(el.content, subst)), n))
+    return Term._of(_canonical(out))
+
+
+FALLBACKS = [
+    "a $X -> $X $X @ 1",  # the residue twice
+    "(m ~w | a $Y) $X -> b $X $Y @ 1",  # two variables at the top
+    "(m ~w | a $Y) $X -> (m ~w | $Y $Y) c @ 1",  # no variable at the top
+    "a $X -> b $X (m | $X) @ 1",  # the top residue also nested
+]
+
+
+def test_spliced_outcomes_equal_merged_and_sorted_ones(rng):
+    """Every outcome equals the whole right-hand side instantiated by
+    _canonical, the residue bound to content - consumed; a spliced top
+    level keeps content's object for every element equal to one of it."""
+    cases = [(gen_rule(rng, f"r{i}"), None) for i in range(300)]
+    cases += [(parse_rule(text), "b c c (m | a d) (m | a a d) (k | a)") for text in FALLBACKS]
+    spliced = fallback = 0
+    for rule, text in cases:
+        if text is None:
+            state = gen_term(rng, depth=2, atom_budget=6).union(instantiate_lhs(rng, rule))
+        else:
+            state = parse_term(text)
+        for _, content in levels(state):
+            mine = {el: el for el, _ in content.items}
+            for bindings, consumed, _ in level_matches(rule.lhs, content):
+                subst = dict(bindings)
+                subst[rule.lhs.residue] = content.subtract(consumed)
+                want = canonical_instance(rule.rhs, subst)
+                got = Outcome(rule, content, bindings, consumed).term()
+                assert got == want
+                if rule.splice_residue:
+                    spliced += 1
+                    for el, _ in got.items:
+                        assert mine.get(el, el) is el
+                else:
+                    fallback += 1
+    assert spliced > 100 and fallback > 100
+
+
+def test_a_rule_splices_its_residue_only_when_it_occurs_once_at_the_top():
+    assert parse_rule("a $X -> b $X @ 1").splice_residue
+    assert parse_rule("a (m ~w | $Y) $X -> (m ~w | c $Y) $X @ 1").splice_residue
+    for text in FALLBACKS:
+        assert not parse_rule(text).splice_residue

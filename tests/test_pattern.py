@@ -141,6 +141,22 @@ def test_apply_subst_scales_by_count():
     assert apply_subst(o, {X: parse_term("b c")}) == parse_term("a b b c c")
 
 
+def test_apply_subst_splices_a_level_with_one_variable():
+    value = parse_term("b c (m | c)")
+    assert apply_subst(OpenTerm([X]), {X: value}) is value
+    assert OpenTerm([X]).splice == X and OpenTerm([A("a"), X]).rest == ((A("a"), 1),)
+    assert OpenTerm([(X, 2)]).splice is None and OpenTerm([X, Y]).splice is None
+    o = OpenTerm([A("a"), A("c"), OpenCompartment([], [x], OpenTerm([Y])), X])
+    got = apply_subst(o, {X: value, Y: parse_term("c"), x: atom_bag([A("m")])})
+    assert got == parse_term("a b c c (m | c) (m | c)")
+    assert all(a is b for (a, _), (b, _) in zip(got.items[1:], value.items))  # value's objects
+    consumed = ((value.items[0][0], 1), (value.items[2][0], 1))
+    got = apply_subst(o, {X: value, Y: parse_term("c"), x: atom_bag([A("m")])}, consumed)
+    assert got == parse_term("a c c (m | c)") and got.items[2][0] is value.items[2][0]
+    with pytest.raises(ValueError):
+        apply_subst(OpenTerm([X]), {X: value}, ((A("a"), 1),))
+
+
 def test_apply_subst_errors():
     o = OpenTerm([X])
     with pytest.raises(SubstitutionError) as exc:

@@ -1,4 +1,6 @@
 """Canonical multiset terms: congruence as equality, paths, counting scopes."""
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from cwcsim.pattern import (
 )
 from cwcsim.terms import (
     EMPTY,
+    MAX_DEPTH,
     Atom,
     Compartment,
     Scope,
@@ -24,6 +27,7 @@ from cwcsim.terms import (
     count_atom,
     replace_at,
     resolve,
+    _flatten,
 )
 from tests.conftest import ATOM_NAMES, gen_term, levels
 
@@ -259,3 +263,19 @@ def test_count_atom_top_equals_a_sum_over_the_top_atoms(rng):
             for name in ATOM_NAMES + ("e",):
                 want = sum(n for el, n in content.atoms_top() if el.name == name)
                 assert content.count_atom_top(Atom(name)) == want
+
+
+def test_a_deep_term_pickles_without_recursing():
+    # pickle recursed about ten frames per level, past the default
+    # recursion limit at 98 levels
+    t = Term([Atom("a")])
+    for depth in range(MAX_DEPTH):
+        if depth == 100:  # one subterm held by two compartments
+            t = Term([Atom("b"), Compartment([Atom("m")], t), (Compartment([], t), 2)])
+        else:
+            t = Term([Compartment([Atom("m")], t)])
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and u.depth == MAX_DEPTH and u.size == t.size
+    assert len(_flatten(t)) == MAX_DEPTH + 1  # the shared subterm once
+    c = Compartment([Atom("k")], t)
+    assert pickle.loads(pickle.dumps(c)) == c
