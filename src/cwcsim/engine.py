@@ -49,22 +49,23 @@ came from, so rates, selection and seeded output do not depend on it.
 Each chain of stores owns one memo (Memo): TransitionStore starts it, and
 incremental_retransitions hands it on with the rules, so a memo serves
 exactly one rules tuple.  It keeps nodes keyed by level content, and the
-rows of every top-level slot on one compartment element keyed by (element,
-number of top-level slots); nested slot levels are computed inside an
-index miss and not kept.  An entry weighs the size its key's content or
-element caches, times the row sets an index key names; MEMO_BUDGET bounds
+rows of every top-level slot on one compartment element keyed by the
+element; nested slot levels are computed inside an index miss and not
+kept.  An entry weighs the size its key's content or element caches,
+times the rules' top-level slot count for an element; MEMO_BUDGET bounds
 the summed weight over two generations, so a diverging run keeps a bounded
 memo.  Eviction is safe: a store holds its nodes directly, every node its
 children and Outcomes, a root its _Level, and an evicted entry is rebuilt
 equal from its key alone.  A run's memo is not shared across replicates,
 because a shared memo cost more in memory and garbage collection than its
-hits saved.  A finished run's final state goes through terms.shared, so
-trajectories kept side by side share their equal subterms.
+hits saved.  A finished run's final state goes through terms.shared, and
+a pool worker's is decoded through it, so trajectories kept side by side
+share their equal subterms.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum, inf, isclose, isfinite, log, nextafter
 from random import Random
 from typing import Optional
@@ -201,19 +202,21 @@ MEMO_BUDGET = 250_000
 
 class Memo:
     """One store chain's memo of level nodes (keyed by level content) and
-    the element index (keyed by (element, row sets), see
-    matching._element_rows) of one rules tuple, bounded by one budget on
-    their summed weight.  An entry weighs the size its key's content or
-    element caches, times the row sets of an index key (_weight).  Two
-    generations: an entry goes into the young one, which becomes the old
-    one, dropping the previous old one, when it would pass half the budget;
-    a hit in the old generation moves the entry back into the young one.
-    An entry heavier than half the budget is not kept."""
+    the element index (keyed by element, see matching._element_rows) of one
+    rules tuple, bounded by one budget on their summed weight.  width is
+    the rules' top-level slot count, the row sets of an index entry.  An
+    entry weighs the size its key's content or element caches, times width
+    for an element (_weight).  Two generations: an entry goes into the
+    young one, which becomes the old one, dropping the previous old one,
+    when it would pass half the budget; a hit in the old generation moves
+    the entry back into the young one.  An entry heavier than half the
+    budget is not kept."""
 
-    __slots__ = ("budget", "young", "old", "young_weight", "old_weight")
+    __slots__ = ("budget", "width", "young", "old", "young_weight", "old_weight")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, width: int):
         self.budget = budget
+        self.width = width
         self.young: dict = {}
         self.old: dict = {}
         self.young_weight = self.old_weight = 0
@@ -227,12 +230,12 @@ class Memo:
         if value is None:
             value = self.old.pop(key, None)
             if value is not None:
-                self.old_weight -= _weight(key)
+                self.old_weight -= self._weight(key)
                 self[key] = value
         return value
 
     def __setitem__(self, key, value):
-        w = _weight(key)
+        w = self._weight(key)
         half = self.budget // 2
         if w > half:
             return
@@ -242,9 +245,8 @@ class Memo:
         self.young[key] = value
         self.young_weight += w
 
-
-def _weight(key) -> int:
-    return key.size if type(key) is Term else key[0].size * key[1]
+    def _weight(self, key) -> int:
+        return key.size if type(key) is Term else key.size * self.width
 
 
 class _Level:
@@ -292,15 +294,15 @@ def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict):
         last = r
 
 
-def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, width: int) -> tuple:
+def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path) -> tuple:
     """(tables, sums, shared, children) of content, derived from base, a
     node of another content that keeps a _Level, by walking both contents
     in canonical order and comparing elements by identity first.  A
     compartment class whose copy count did not change keeps its table, its
     share of sums and shared, and its child; the others are tallied out and
-    in, and a new class is looked up in the element index (keyed by width,
-    the rules' top-level slot count) and its child built.  Atoms have no
-    table: the rules that read them are counted on content itself."""
+    in, and a new class is looked up in the element index, when the rules
+    have a top-level slot, and its child built.  Atoms have no table: the
+    rules that read them are counted on content itself."""
     old = base.level
     tables, sums, shared = dict(old.tables), dict(old.sums), dict(old.shared)
     changes, children = [], []
@@ -321,8 +323,8 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, width: 
         if was != cnt:
             changes.append((el, was, cnt))
         if type(el) is Compartment and not was:
-            tables[el] = _element_rows(rules, el, memo, width) if width else ()
-            child = _node(el.content, rules, memo, path + ((j, 0),), width)
+            tables[el] = _element_rows(rules, el, memo) if memo.width else ()
+            child = _node(el.content, rules, memo, path + ((j, 0),))
             if child.count:
                 children.append((j, cnt, child))
         elif type(el) is Compartment:
@@ -345,14 +347,13 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path, width: 
     return tables, sums, shared, children
 
 
-def _node(content: Term, rules: tuple, memo, path: Path, width: int, base=_EMPTY) -> _Node:
+def _node(content: Term, rules: tuple, memo, path: Path, base=_EMPTY) -> _Node:
     """The node of content, from memo or, on a miss, derived (_derived)
     from base, the root node of the previous state, when base keeps a
     _Level, else from the empty level; path is where the content was met,
-    for error messages only, and width the rules' top-level slot count.
-    Every rule is counted (matching.counted_matches) or enumerated, and
-    rated, in rule order; a rule no class or atom enables counts to []
-    from the sums or its atoms.  A root of at least DERIVE_FROM classes
+    for error messages only.  Every rule is counted
+    (matching.counted_matches) or enumerated, and rated, in rule order; a
+    rule no class or atom enables counts to [] from the sums or its atoms.  A root of at least DERIVE_FROM classes
     keeps its _Level.  A node holds its children directly, so evicting a
     node from the memo never invalidates its parents."""
     node = memo.get(content)
@@ -360,7 +361,7 @@ def _node(content: Term, rules: tuple, memo, path: Path, width: int, base=_EMPTY
         return node
     if base.level is None:
         base = _EMPTY
-    tables, sums, shared, children = _derived(base, content, rules, memo, path, width)
+    tables, sums, shared, children = _derived(base, content, rules, memo, path)
     local = []
     for r, rule in enumerate(rules):
         entries = counted_matches(rule, r, content, tables, sums, shared)
@@ -404,25 +405,23 @@ def _node(content: Term, rules: tuple, memo, path: Path, width: int, base=_EMPTY
 
 class TransitionStore:
     """The enabled transitions of one state as a tree of level nodes.  A
-    store made from a rules tuple keeps the tuple, its top-level slot count
-    (width, which keys the element index) and a Memo of its own, which maps
-    level contents to nodes and compartment elements to their index
-    entries; its successors (incremental_retransitions) inherit all three,
+    store made from a rules tuple keeps the tuple and a Memo of its own,
+    which maps level contents to nodes and compartment elements to their
+    index entries; its successors (incremental_retransitions) inherit both,
     so a memo serves exactly one rules tuple.  len() counts the
     transitions, one per match class of a counted entry, and total sums
     their rates.  Iteration yields them in canonical pre-order from a list
     built once and kept, so one store always yields the same objects."""
 
-    __slots__ = ("rules", "width", "memo", "root", "total", "_list")
+    __slots__ = ("rules", "memo", "root", "total", "_list")
 
     def __init__(self, state: Term, rules):
         self.rules = tuple(rules)
-        self.width = sum(len(rule.lhs.slots) for rule in self.rules)
-        self.memo = Memo(MEMO_BUDGET)
+        self.memo = Memo(MEMO_BUDGET, sum(len(rule.lhs.slots) for rule in self.rules))
         self._rate(state, _EMPTY)
 
     def _rate(self, state: Term, base: _Node) -> "TransitionStore":
-        self.root = _node(state, self.rules, self.memo, (), self.width, base)
+        self.root = _node(state, self.rules, self.memo, (), base)
         self.total = self.root.total
         self._list = None
         return self
@@ -494,14 +493,14 @@ def enumerate_transitions(state: Term, rules) -> list:
 
 
 def incremental_retransitions(prev: TransitionStore, next_state: Term) -> TransitionStore:
-    """The store after one event, given the store before it, whose rules,
-    width and memo it inherits.  A root the memo holds is reused.  A missed
+    """The store after one event, given the store before it, whose rules
+    and memo it inherits.  A root the memo holds is reused.  A missed
     root is derived from prev's root: only the compartment classes the
     event changed are looked up in the element index, tallied and built,
     every other class keeps its subtree, and every rule is counted and
     rated again on the new root (module docstring)."""
     store = object.__new__(TransitionStore)
-    store.rules, store.width, store.memo = prev.rules, prev.width, prev.memo
+    store.rules, store.memo = prev.rules, prev.memo
     return store._rate(next_state, prev.root)
 
 
@@ -648,8 +647,6 @@ def run_replicates(model, cfg: SimConfig, jobs: int = 1) -> list:
     from concurrent.futures import ProcessPoolExecutor  # so importing cwcsim loads no pool
 
     # the fork start method launches every worker at once
+    # a worker's final state comes back decoded through terms.shared
     with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
-        return [
-            replace(tr, final_state=shared(tr.final_state))
-            for tr in pool.map(_run_one, tasks)
-        ]
+        return list(pool.map(_run_one, tasks))

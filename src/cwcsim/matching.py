@@ -19,13 +19,14 @@ level's own residue stays unbound, while every slot level inside binds its
 residue to what its match leaves there.  An `Outcome` holds one match and,
 when its term is asked for, instantiates the rule's right-hand side once,
 with the residue standing for content - consumed.  When the residue is
-the only variable of the right-hand side's top level, there once, and
-occurs nowhere else in it (Rule.splice_residue), it is bound to content
-itself, and apply_subst splices the right-hand side's other top-level
-items into it and removes the consumed pairs in one pass, so content -
-consumed is never built; otherwise the residue is bound to
-content.subtract(consumed).  A spliced outcome shares content's objects:
-every element of it equal to one of content's is that object.
+the variable the right-hand side's top level splices on (its last
+variable, there once: OpenTerm.splice) and occurs nowhere else in it
+(Rule.splice_residue), it is bound to content itself, and apply_subst
+inserts the right-hand side's other top-level items into it and removes
+the consumed pairs in one terms._spliced call, so content - consumed is
+never built; otherwise the residue is bound to content.subtract(consumed),
+itself one such call.  A spliced outcome shares content's objects: every
+element of it equal to one of content's is that object.
 
 How matches become outcomes depends on the rate law.  Under an n-linear
 law (`rates` module docstring) the summed rate into each outcome does not
@@ -41,10 +42,10 @@ the slot level's residue and wrap variable, count and whether they carry
 atoms -- depend on the slot and the element only, not on the level around
 them: they are its rows (_rows).  The rows of every top-level slot of a
 rules tuple on one element are memoised together, in a memo that serves
-that tuple only, under (element, number of top-level slots): the element
-index (_element_rows).  The engine thus looks each compartment class up
-once when a level first meets it, not once per rule and slot, and keeps
-the entries of a level's classes in a table by class.  It is the only
+that tuple only, under the element: the element index (_element_rows).
+The engine thus looks each compartment class up once when a level first
+meets it, not once per rule and slot, and keeps the entries of a level's
+classes in a table by class.  It is the only
 memo of rows: nested slot levels are computed inside an index miss and
 not kept.  Rows come back in content order, so match order does not
 depend on the memo, and every caller copies a row's bindings before
@@ -183,15 +184,13 @@ def _rows(slot, el) -> list:
     return rows
 
 
-def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
+def _element_rows(rules: tuple, el, memo) -> tuple:
     """The element index of one compartment element: ((rule index, slot
     index), rows, summed row count) for every top-level slot of rules with a
-    row on el, kept in memo, which serves rules only, under (el, width),
-    width the number of top-level slots of rules: the entry stands for that
-    many row sets and weighs as much (engine.Memo).  Callers copy the
-    bindings and never write into them."""
-    key = (el, width)
-    table = memo.get(key)
+    row on el, kept in memo under el: the memo serves rules only, and an
+    entry weighs as much as the row sets of their top-level slots
+    (engine.Memo).  Callers copy the bindings and never write into them."""
+    table = memo.get(el)
     if table is not None:
         return table
     table = []
@@ -201,7 +200,7 @@ def _element_rows(rules: tuple, el, memo, width: int) -> tuple:
             if rows:
                 table.append(((i, s), rows, sum(row[1] for row in rows)))
     table = tuple(table)
-    memo[key] = table
+    memo[el] = table
     return table
 
 

@@ -9,12 +9,11 @@ discipline, in one walk of each side and a compile of the left.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import CwcError
-from .terms import Atom, AtomBag, Compartment, Term, _canonical, _checked, atom_bag
+from .terms import Atom, AtomBag, Compartment, Term, _canonical, _checked, _spliced, atom_bag
 
 TERM = "term"
 WRAP = "wrap"
@@ -96,8 +95,9 @@ class OpenCompartment:
 class OpenTerm:
     """A canonical multiset of atoms, term variables, and open compartments.
 
-    splice is the level's variable when it holds exactly one, once, and
-    None otherwise; rest is then the level's other items (apply_subst).
+    splice is the level's last variable when it occurs once, and None when
+    the level has no variable or its last occurs more often; rest is then
+    the level's other items (apply_subst).
     """
 
     __slots__ = ("items", "_key", "_hash", "is_ground", "splice", "rest")
@@ -114,10 +114,7 @@ class OpenTerm:
             for el, _ in items
         )
         # variables sort after atoms and compartments
-        once = (
-            items and type(items[-1][0]) is Variable and items[-1][1] == 1
-            and (len(items) == 1 or type(items[-2][0]) is not Variable)
-        )
+        once = items and type(items[-1][0]) is Variable and items[-1][1] == 1
         self.splice = items[-1][0] if once else None
         self.rest = items[:-1] if once else None
 
@@ -165,42 +162,22 @@ def apply_subst(o: OpenTerm, subst: Mapping, consumed=()) -> Term:
     wrap variables splice atom multisets into their wrap.  The result is
     canonical.
 
-    A level with one variable, once (OpenTerm.splice), starts from the
-    items of its value and inserts its other items by bisect on _key; an
-    equal element of the value gets the count added and stays the value's
-    object.  A level that is only the variable is its value itself.
-    consumed, (element, count) pairs of the top level's value, is removed
-    from it in the same splice, after the insertions, so an element both
-    consumed and produced stays the value's object too (matching.Outcome).
-    Any other level is merged and sorted by _canonical, which keeps a term
-    variable's objects the same way."""
+    Every level is built by terms._spliced.  A level whose last variable
+    occurs once (OpenTerm.splice) starts from the items of that variable's
+    value, and its other items, instantiated, go in; an equal element of the
+    value gets the count added and stays the value's object.  A level that
+    is only the variable is its value itself.  consumed, (element, count)
+    pairs of the top level's value, is removed from it in the same splice,
+    after the insertions, so an element both consumed and produced stays
+    the value's object too (matching.Outcome).  Any other level starts from
+    no items, and a compartment's wrap from its wrap atoms."""
     v = o.splice
     if v is None:
-        return Term._of(_canonical(_instantiated(o.items, subst)))
+        return Term._of(_spliced((), _instantiated(o.items, subst)))
     value = _term_value(subst, v)
     if not o.rest and not consumed:
         return value
-    items = list(value.items)
-    for el, n in _instantiated(o.rest, subst):
-        key = el._key
-        i = bisect_left(items, key, key=_element_key)
-        if i < len(items) and items[i][0]._key == key:
-            items[i] = (items[i][0], items[i][1] + n)
-        else:
-            items.insert(i, (el, n))
-    for el, n in consumed:
-        i = bisect_left(items, el._key, key=_element_key)
-        if i == len(items) or items[i][0] != el or items[i][1] < n:
-            raise ValueError(f"apply_subst: {el!r} is not consumable from ${v.name}")
-        if items[i][1] == n:
-            del items[i]
-        else:
-            items[i] = (items[i][0], items[i][1] - n)
-    return Term._of(tuple(items))
-
-
-def _element_key(pair) -> tuple:
-    return pair[0]._key
+    return Term._of(_spliced(value.items, _instantiated(o.rest, subst), consumed))
 
 
 def _instantiated(items: tuple, subst: Mapping) -> list:
@@ -214,7 +191,7 @@ def _instantiated(items: tuple, subst: Mapping) -> list:
             for sub_el, k in _term_value(subst, el).items:
                 out.append((sub_el, k * n))
         else:
-            wrap = list(el.wrap_atoms)
+            wrap = []
             for v, k in el.wrap_vars:
                 value = _lookup(subst, v)
                 if not isinstance(value, tuple):
@@ -223,7 +200,7 @@ def _instantiated(items: tuple, subst: Mapping) -> list:
                     )
                 wrap.extend((a, m * k) for a, m in value)
             content = apply_subst(el.content, subst)
-            out.append((Compartment._of(_canonical(wrap), content), n))
+            out.append((Compartment._of(_spliced(el.wrap_atoms, wrap), content), n))
     return out
 
 

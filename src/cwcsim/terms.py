@@ -6,14 +6,21 @@ content is again a term.  Terms are kept in a canonical counted-sorted form
 (atoms before compartments, atoms by name, compartments by wrap then content)
 so that structural congruence coincides with plain equality.
 
-Every multiset here and in ``pattern`` -- terms, wraps, open terms and wrap
-variable bags -- gets that form from one function, ``_canonical``; the
-public constructors check their input once, with ``_checked``, before it.
+Every multiset here and in ``pattern`` gets that form from one of two
+functions.  ``_canonical`` sorts unsorted input: what the public
+constructors of terms, wraps, open terms and wrap variable bags take,
+checked once with ``_checked`` first, and the outcome lists of
+matching.outcome_terms and the oracle.  ``_spliced`` edits a level already
+canonical, inserting and removing a few pairs by bisect: every
+subtraction, union and bag difference, every level apply_subst
+instantiates and every level replace_at rewrites, so an event never sorts
+a level again.
 """
 from __future__ import annotations
 
 import re
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -65,18 +72,43 @@ def _checked(items: Iterable, kinds, what: str) -> list:
     return pairs
 
 
+def _element_key(pair) -> tuple:
+    return pair[0]._key
+
+
 def _canonical(pairs: Iterable) -> tuple:
-    """The canonical form of a multiset: counts of equal elements merged,
-    zero counts dropped, pairs sorted by ``_key``.  Of equal elements the
-    last is kept, so a right-hand side level that apply_subst cannot
-    splice still shares the matched content's objects: a term variable's
-    items come after the level's own atoms and compartments."""
+    """The canonical form of unsorted pairs: counts of equal elements
+    merged, zero counts dropped, pairs sorted by ``_key``."""
     merged: dict = {}
     for el, n in pairs:
         if n:
             got = merged.get(el)
             merged[el] = (el, got[1] + n) if got else (el, n)
-    return tuple(sorted(merged.values(), key=lambda p: p[0]._key))
+    return tuple(sorted(merged.values(), key=_element_key))
+
+
+def _spliced(items: tuple, inserted=(), removed=()) -> tuple:
+    """Canonical items with the (element, count) pairs of inserted added,
+    then those of removed taken out, each found by bisect on ``_key``.  An
+    inserted element equal to one already there adds to its count and the
+    object there stays; a removed pair that is not contained raises
+    ValueError.  The one edit of a canonical level."""
+    out = list(items)
+    for el, n in inserted:
+        i = bisect_left(out, el._key, key=_element_key)
+        if i < len(out) and out[i][0] == el:
+            out[i] = (out[i][0], out[i][1] + n)
+        else:
+            out.insert(i, (el, n))
+    for el, n in removed:
+        i = bisect_left(out, el._key, key=_element_key)
+        if i == len(out) or out[i][0] != el or out[i][1] < n:
+            raise ValueError(f"{el!r} is not contained {n} times")
+        if out[i][1] == n:
+            del out[i]
+        else:
+            out[i] = (out[i][0], out[i][1] - n)
+    return tuple(out)
 
 
 def atom_bag(items: Iterable) -> AtomBag:
@@ -101,14 +133,7 @@ def bag_contains(sub: AtomBag, sup: AtomBag) -> bool:
 
 def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
     """Multiset difference sup - sub; sub must be contained in sup."""
-    out = []
-    for a, n in sup:
-        k = n - bag_count(sub, a)
-        if k < 0:
-            raise ValueError(f"bag_diff: {a.name} occurs {n} < {n - k} times")
-        if k:
-            out.append((a, k))
-    return tuple(out)
+    return _spliced(sup, (), sub)
 
 
 class Compartment:
@@ -235,24 +260,11 @@ class Term:
                 yield el
 
     def union(self, other: "Term") -> "Term":
-        return Term._of(_canonical(self.items + other.items))
+        return Term._of(_spliced(self.items, other.items))
 
     def subtract(self, pairs: Iterable) -> "Term":
-        """Remove a (element, count) multiset; raises if not contained.
-        Keyed by element, whose hash is cached, not by its nested key."""
-        need: dict = {}
-        for el, n in pairs:
-            need[el] = need.get(el, 0) + n
-        out = []
-        for el, n in self.items:
-            k = n - need.pop(el, 0)
-            if k < 0:
-                raise ValueError(f"subtract: {el!r} occurs only {n} times")
-            if k:
-                out.append((el, k))
-        if need:
-            raise ValueError("subtract: element not present in term")
-        return Term._of(tuple(out))
+        """Remove a (element, count) multiset; raises if not contained."""
+        return Term._of(_spliced(self.items, (), pairs))
 
 
 EMPTY = Term()
@@ -284,13 +296,15 @@ def _flatten(t: Term) -> tuple:
 
 
 def _unflatten(flat: tuple) -> Term:
-    """The term _flatten encoded, its last tuple, built innermost first."""
+    """The term _flatten encoded, its last tuple, built innermost first and
+    each term and compartment through shared, so that a decoded term shares
+    its equal subterms with every other one alive in the process."""
     built = []
     for items in flat:
-        built.append(Term._of(tuple(
-            (el if type(el) is Atom else Compartment._of(el[0], built[el[1]]), n)
+        built.append(shared(Term._of(tuple(
+            (el if type(el) is Atom else shared(Compartment._of(el[0], built[el[1]])), n)
             for el, n in items
-        )))
+        ))))
     return built[-1]
 
 
@@ -355,15 +369,17 @@ def resolve(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new_content: Term) -> Term:
-    """Replace the content addressed by path in exactly one compartment copy."""
+    """Replace the content addressed by path in exactly one compartment copy.
+    The copy is taken out by its index, before the rebuilt compartment goes
+    in: the two differ only where the path ends, and comparing their keys
+    costs time quadratic in that depth."""
     if not path:
         return new_content
     el, n = _step(t, path[0])
+    i = path[0][0]
     rebuilt = Compartment._of(el.wrap, replace_at(el.content, path[1:], new_content))
-    rest = list(t.items)
-    rest[path[0][0]] = (el, n - 1)
-    rest.append((rebuilt, 1))
-    return Term._of(_canonical(rest))
+    kept = ((el, n - 1),) if n > 1 else ()
+    return Term._of(_spliced(t.items[:i] + kept + t.items[i + 1:], ((rebuilt, 1),)))
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,24 @@ def test_finished_runs_share_equal_subterms(monkeypatch, jobs):
     assert run(m, cfg, 0).final_state is trajs[0].final_state
 
 
+def test_a_pool_decodes_equal_cells_into_one_object():
+    # each worker's trajectory comes back pickled: decoding interns it
+    text = importlib.resources.files("cwcsim").joinpath("models/pho.cwc").read_text()
+    init = "Pi*40 " + " ".join([PHO_CELL] * 4)
+    m = model_of(f"init {init}\nrule " + text.split("\nrule ", 1)[1])
+    cfg = SimConfig(max_events=60, seed=3, replicates=4)
+    trajs = run_replicates(m, cfg, jobs=2)
+    assert trajs == run_replicates(m, cfg, jobs=1)
+    cells: dict = {}
+    kept = 0
+    for traj in trajs:
+        for el, _ in traj.final_state.items:
+            if type(el) is Compartment:
+                assert cells.setdefault(el, el) is el
+                kept += 1
+    assert len(cells) < kept  # some runs reached equal cells
+
+
 def test_derive_seed_streams():
     assert derive_seed(0, 0) == 12426054289685354689
     assert derive_seed(0, 1) == 17227200041832915037

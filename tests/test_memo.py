@@ -15,6 +15,7 @@ import pytest
 from cwcsim import Model, SimConfig, parse_model, run
 from cwcsim import engine
 from cwcsim.engine import Memo, TransitionStore, incremental_retransitions
+from cwcsim.terms import Compartment
 from cwcsim.matching import _rows
 from cwcsim.rates import BinOp, FnRate, MatchCount
 from cwcsim.terms import replace_at
@@ -61,7 +62,7 @@ def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, cou
     def checked(prev, next_state):
         memo = prev.memo
         assert memo.weight <= memo.budget == engine.MEMO_BUDGET
-        assert memo.weight == sum(engine._weight(k) for k in (*memo.young, *memo.old))
+        assert memo.weight == sum(memo._weight(k) for k in (*memo.young, *memo.old))
         seen.append(memo.weight)
         return rebuild(prev, next_state)
 
@@ -101,9 +102,10 @@ def test_eviction_leaves_the_trajectory_unchanged(monkeypatch, counting, name, i
     assert checked.cross_check_failures == 0 and checked.events == 150
 
 
-def tuple_keys(memo) -> list:
-    """The memo's row keys, (element, row sets), with entries."""
-    return [(k, v) for k, v in (*memo.young.items(), *memo.old.items()) if type(k) is tuple]
+def index_entries(memo) -> list:
+    """The memo's element index: (element, entry) pairs."""
+    return [(k, v) for k, v in (*memo.young.items(), *memo.old.items())
+            if type(k) is Compartment]
 
 
 def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
@@ -127,9 +129,9 @@ def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
             store = incremental_retransitions(store, content)
         built = list(store)  # every outcome of the store, built
         assert built == list(TransitionStore(state, rules))
+        assert store.memo.width == width
         rows = 0
-        for (el, sets), got in tuple_keys(store.memo):
-            assert sets == width
+        for el, got in index_entries(store.memo):
             want = []
             for i, rule in enumerate(rules):
                 for s, slot in enumerate(rule.lhs.slots):
@@ -164,17 +166,18 @@ def test_rules_without_a_slot_keep_no_rows(monkeypatch):
     monkeypatch.setattr(engine, "incremental_retransitions", kept)
     traj = run(Model(mf.init, mf.rules), SimConfig(max_events=300, seed=3))
     assert traj.events == 300 and memos[-1] is memos[0]
-    assert memos[0].weight > 0 and tuple_keys(memos[0]) == []
+    assert memos[0].weight > 0 and index_entries(memos[0]) == []
 
 
 def test_a_store_chain_shares_one_memo_and_width():
-    """A store made from a rules tuple starts its own memo and keeps the
-    rules' top-level slot count; every successor store inherits both, with
-    the rules, and finds its predecessors' nodes in the memo."""
+    """A store made from a rules tuple starts its own memo, which keeps the
+    rules' top-level slot count; every successor store inherits it, with
+    the rules, and finds its predecessors' nodes in it."""
     model = bundled("pho.cwc", "Pi*40 " + " ".join([PHO_CELL] * 4))
     first = TransitionStore(model.init, model.rules)
     width = sum(len(rule.lhs.slots) for rule in model.rules)
     assert width > 0 and type(first.memo) is Memo and first.memo.budget == engine.MEMO_BUDGET
+    assert first.memo.width == width
     other = TransitionStore(model.init, model.rules)
     assert other.memo is not first.memo and other.root is not first.root
     store, state = first, model.init
@@ -182,7 +185,6 @@ def test_a_store_chain_shares_one_memo_and_width():
         chosen = next(iter(store))
         state = replace_at(state, chosen.path, chosen.outcome_local)
         store = incremental_retransitions(store, state)
-        assert store.rules is first.rules and store.width == first.width == width
-        assert store.memo is first.memo
+        assert store.rules is first.rules and store.memo is first.memo
     again = incremental_retransitions(store, model.init)
     assert again.root is first.root  # the first root, from the shared memo

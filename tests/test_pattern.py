@@ -145,7 +145,11 @@ def test_apply_subst_splices_a_level_with_one_variable():
     value = parse_term("b c (m | c)")
     assert apply_subst(OpenTerm([X]), {X: value}) is value
     assert OpenTerm([X]).splice == X and OpenTerm([A("a"), X]).rest == ((A("a"), 1),)
-    assert OpenTerm([(X, 2)]).splice is None and OpenTerm([X, Y]).splice is None
+    assert OpenTerm([(X, 2)]).splice is None  # $X $X starts from no items
+    assert OpenTerm([X, Y]).splice == Y and OpenTerm([X, Y]).rest == ((X, 1),)
+    two = apply_subst(OpenTerm([X, Y]), {X: parse_term("a (m | c)"), Y: value})
+    assert two == parse_term("a b c (m | c) (m | c)") and two.items[3] == (value.items[2][0], 2)
+    assert two.items[3][0] is value.items[2][0]  # $Y's object, spliced on
     o = OpenTerm([A("a"), A("c"), OpenCompartment([], [x], OpenTerm([Y])), X])
     got = apply_subst(o, {X: value, Y: parse_term("c"), x: atom_bag([A("m")])})
     assert got == parse_term("a b c c (m | c) (m | c)")

@@ -1,5 +1,6 @@
 """Canonical multiset terms: congruence as equality, paths, counting scopes."""
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from cwcsim.terms import (
     replace_at,
     resolve,
     _flatten,
+    _spliced,
 )
 from tests.conftest import ATOM_NAMES, gen_term, levels
 
@@ -121,6 +123,50 @@ def test_replace_touches_one_copy():
     got = replace_at(t, ((0, 1), ), parse_term("b"))
     assert got == parse_term("(m | a) (m | b)")
     assert replace_at(t, (), parse_term("c")) == parse_term("c")
+
+
+def test_replace_keeps_an_equal_siblings_object():
+    t = parse_term("(m | a) (m | b)")
+    got = replace_at(t, ((1, 0),), parse_term("a"))
+    assert got == parse_term("(m | a) (m | a)") and got.items[0][0] is t.items[0][0]
+
+
+def test_replace_at_a_deep_path_is_fast():
+    # the rewritten copy leaves its level by index: comparing it with the
+    # rebuilt compartment, which differs only at the path's end, takes
+    # time quadratic in the depth, at every level of the path
+    t = parse_term("a")
+    for _ in range(MAX_DEPTH - 1):
+        t = Term([Compartment([Atom("m")], t)])
+    path = ((0, 0),) * (MAX_DEPTH - 1)
+    started = time.perf_counter()
+    for _ in range(10):
+        got = replace_at(t, path, parse_term("b"))
+    assert time.perf_counter() - started < 5.0
+    assert got.depth == MAX_DEPTH - 1 and resolve(got, path) == parse_term("b")
+
+
+def _merged(pairs) -> tuple:
+    """Pairs with counts of equal elements summed, zero counts dropped and
+    sorted by key, the first of equal elements kept."""
+    counts: dict = {}
+    for el, n in pairs:
+        counts[el] = counts.get(el, 0) + n
+    return tuple(sorted(((el, n) for el, n in counts.items() if n), key=lambda p: p[0]._key))
+
+
+@settings(deadline=None)
+@given(terms, st.lists(st.tuples(simples, st.integers(1, 3)), max_size=6), simples, st.data())
+def test_spliced_equals_a_merge_and_keeps_the_bases_objects(base, inserted, other, data):
+    grown = _merged(base.items + tuple(inserted))
+    removed = [(el, data.draw(st.integers(1, n))) for el, n in grown if data.draw(st.booleans())]
+    got = _spliced(base.items, inserted, removed)
+    assert got == _merged(grown + tuple((el, -n) for el, n in removed))
+    mine = {el: el for el, _ in base.items}
+    assert all(mine.get(el, el) is el for el, _ in got)
+    taken = dict(grown)
+    with pytest.raises(ValueError):
+        _spliced(base.items, inserted, [(other, taken.get(other, 0) + 1)])
 
 
 def test_path_errors():
