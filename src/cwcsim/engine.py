@@ -540,9 +540,31 @@ def _check_limits(state: Term, cfg: SimConfig, rule_id, path, time):
     )
 
 
+def _sampled(s: Term, observables: tuple, element_rows: Memo) -> tuple:
+    """s's sample row: the sum over its top-level classes of copies times
+    the class's own row, exact since every scope counts each top-level
+    element apart.  A class's row is counted the first time element_rows,
+    a Memo of len(observables) width, meets it, and kept there."""
+    if not observables:  # element_rows would weigh nothing
+        return ()
+    total = [0] * len(observables)
+    for el, n in s.items:
+        row = element_rows.get(el)
+        if row is None:
+            one = Term._of(((el, 1),))
+            row = tuple(count_atom(one, o.atom, o.scope) for o in observables)
+            element_rows[el] = row
+        total = [a + n * b for a, b in zip(total, row)]
+    return tuple(total)
+
+
 def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     """Simulate one trajectory; deterministic given (model, cfg, replicate).
 
+    Each sample row sums the rows of the state's top-level classes, times
+    their copies (_sampled), and a class's row is counted when the run
+    first meets it and kept in a Memo of MEMO_BUDGET of the run's own, so
+    sampling a state costs one lookup per class and the memo stays bounded.
     A SimulationError raised on the way carries the partial trajectory, with
     status "error", as its trajectory attribute.
     """
@@ -563,6 +585,9 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
     failures = 0
     log_rows: list = [] if cfg.log_events else None
 
+    # each top-level element's own sample row (_sampled), by element
+    element_rows = Memo(MEMO_BUDGET, len(observables))
+
     def fill(until: float, s: Term):
         """Sample s, measured once, at every grid point left before until."""
         nonlocal gi
@@ -570,8 +595,7 @@ def run(model, cfg: SimConfig, replicate: int = 0) -> Trajectory:
         while gi <= last and gi * dt < until:
             gi += 1
         if gi > start:
-            row = tuple(count_atom(s, o.atom, o.scope) for o in observables)
-            rows.extend([row] * (gi - start))
+            rows.extend([_sampled(s, observables, element_rows)] * (gi - start))
 
     def cross_checked(s: Term, transitions: TransitionStore) -> TransitionStore:
         nonlocal failures

@@ -26,7 +26,12 @@ inserts the right-hand side's other top-level items into it and removes
 the consumed pairs in one terms._spliced call, so content - consumed is
 never built; otherwise the residue is bound to content.subtract(consumed),
 itself one such call.  A spliced outcome shares content's objects: every
-element of it equal to one of content's is that object.
+element of it equal to one of content's is that object.  Each level of
+it keeps the key of the level it was spliced from, edited where it
+changed (Term._spliced).  A right-hand-side compartment equal to a
+compartment pattern of the left, such as a cell a rule moves unchanged,
+carries that pattern (Rule): the pattern's rows bind it to the element it
+took (_rows), and the outcome holds that element, not a copy built again.
 
 How matches become outcomes depends on the rate law.  Under an n-linear
 law (`rates` module docstring) the summed rate into each outcome does not
@@ -164,7 +169,10 @@ def _placed(atoms, content: Term, factor: int, ground_need: dict, placement) -> 
 def _rows(slot, el) -> list:
     """The rows of one compartment slot on one compartment element, as
     [(bindings, count, labelful)], computed; nested slot levels are
-    computed too and not kept."""
+    computed too and not kept.  A slot that a right-hand-side compartment
+    carries (CompartmentPattern.carry) binds it to el, and labelful reads
+    the variables' values only: a carried element holds no atom that they
+    do not."""
     rows = []
     if bag_contains(slot.wrap_atoms, el.wrap):
         x_val = bag_diff(el.wrap, slot.wrap_atoms)
@@ -177,9 +185,11 @@ def _rows(slot, el) -> list:
             )
             bindings[slot.wrap_var] = x_val
             labelful = any(
-                v.has_atoms if isinstance(v, Term) else bool(v)
+                v.has_atoms if type(v) is Term else type(v) is tuple and len(v) > 0
                 for v in bindings.values()
             )
+            if slot.carry is not None:
+                bindings[slot.carry] = el
             rows.append((bindings, wrap_choices * count, labelful))
     return rows
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import CwcError
-from .terms import Atom, AtomBag, Compartment, Term, _canonical, _checked, _spliced, atom_bag
+from .terms import (
+    EMPTY, Atom, AtomBag, Compartment, Term, _bag_spliced, _canonical, _checked, atom_bag,
+)
 
 TERM = "term"
 WRAP = "wrap"
@@ -61,9 +63,13 @@ class OpenCompartment:
 
     Ground compartments inside open terms use this representation too (with
     empty variable parts) so that open-term elements sort uniformly.
+    carried is set on a validated rule's right-hand side only, to the
+    left-hand-side compartment pattern equal to this compartment, under
+    which a match binds the element that pattern took (validate_rule);
+    otherwise it is None.
     """
 
-    __slots__ = ("wrap_atoms", "wrap_vars", "content", "_key", "_hash", "is_ground")
+    __slots__ = ("wrap_atoms", "wrap_vars", "content", "_key", "_hash", "is_ground", "carried")
 
     def __init__(self, wrap_atoms, wrap_vars, content: "OpenTerm"):
         self.wrap_atoms = atom_bag(wrap_atoms)
@@ -79,6 +85,7 @@ class OpenCompartment:
         )
         self._hash = hash(self._key)
         self.is_ground = not self.wrap_vars and content.is_ground
+        self.carried = None
 
     def __eq__(self, other):
         return self is other or (
@@ -162,22 +169,26 @@ def apply_subst(o: OpenTerm, subst: Mapping, consumed=()) -> Term:
     wrap variables splice atom multisets into their wrap.  The result is
     canonical.
 
-    Every level is built by terms._spliced.  A level whose last variable
-    occurs once (OpenTerm.splice) starts from the items of that variable's
-    value, and its other items, instantiated, go in; an equal element of the
-    value gets the count added and stays the value's object.  A level that
-    is only the variable is its value itself.  consumed, (element, count)
-    pairs of the top level's value, is removed from it in the same splice,
-    after the insertions, so an element both consumed and produced stays
-    the value's object too (matching.Outcome).  Any other level starts from
-    no items, and a compartment's wrap from its wrap atoms."""
+    Every level is built by Term._spliced.  A level whose last variable
+    occurs once (OpenTerm.splice) starts from that variable's value, and
+    its other items, instantiated, go in; an equal element of the value
+    gets the count added and stays the value's object, and the level keeps
+    the value's key but where it changed.  A level that is only the
+    variable is its value itself.  consumed, (element, count) pairs of the
+    top level's value, is removed from it in the same splice, after the
+    insertions, so an element both consumed and produced stays the value's
+    object too (matching.Outcome).  Any other level starts from the empty
+    term, and a compartment's wrap from its wrap atoms.  A compartment that
+    carries a left-hand-side pattern (OpenCompartment.carried) is the
+    element subst binds that pattern to, when it binds it, and is not built
+    again: the rebuilt one would equal it."""
     v = o.splice
     if v is None:
-        return Term._of(_spliced((), _instantiated(o.items, subst)))
+        return Term._spliced(EMPTY, _instantiated(o.items, subst))
     value = _term_value(subst, v)
     if not o.rest and not consumed:
         return value
-    return Term._of(_spliced(value.items, _instantiated(o.rest, subst), consumed))
+    return Term._spliced(value, _instantiated(o.rest, subst), consumed)
 
 
 def _instantiated(items: tuple, subst: Mapping) -> list:
@@ -191,6 +202,10 @@ def _instantiated(items: tuple, subst: Mapping) -> list:
             for sub_el, k in _term_value(subst, el).items:
                 out.append((sub_el, k * n))
         else:
+            carried = subst.get(el.carried) if el.carried is not None else None
+            if carried is not None:
+                out.append((carried, n))
+                continue
             wrap = []
             for v, k in el.wrap_vars:
                 value = _lookup(subst, v)
@@ -200,7 +215,7 @@ def _instantiated(items: tuple, subst: Mapping) -> list:
                     )
                 wrap.extend((a, m * k) for a, m in value)
             content = apply_subst(el.content, subst)
-            out.append((Compartment._of(_spliced(el.wrap_atoms, wrap), content), n))
+            out.append((Compartment._of(_bag_spliced(el.wrap_atoms, wrap), content), n))
     return out
 
 
@@ -223,11 +238,15 @@ def _lookup(subst: Mapping, v: Variable):
 @dataclass(frozen=True)
 class CompartmentPattern:
     """One non-ground compartment of a left-hand side: consumed wrap atoms, a
-    wrap variable for the rest of the wrap, and a nested level pattern."""
+    wrap variable for the rest of the wrap, and a nested level pattern.
+    carry is the pattern's OpenCompartment when the right-hand side holds an
+    equal compartment, and a match then binds it to the element it took
+    (matching._rows); otherwise None."""
 
     wrap_atoms: AtomBag
     wrap_var: Variable
     content: "LevelPattern"
+    carry: Optional[OpenCompartment] = None
 
 
 @dataclass(frozen=True)
@@ -266,7 +285,10 @@ class Rule:
     rewrites the matched content to rhs instantiated with its bindings, the
     top residue variable bound to what the match leaves (matching.Outcome).
     splice_residue is set when rhs's top level splices that residue
-    (OpenTerm.splice) and it occurs nowhere else in rhs.
+    (OpenTerm.splice) and it occurs nowhere else in rhs.  Every compartment
+    of rhs equal to a compartment pattern of lhs carries it
+    (OpenCompartment.carried): linearity brings back every part of the
+    element the pattern took unchanged, so the outcome holds that element.
     """
 
     id: str
@@ -286,6 +308,8 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
     nonlinear-pattern, malformed-pattern, empty-pattern, unbound-variable.
     A variable is nonlinear when it occurs more than once on the left, a
     repeated compartment pattern counting its variables once per copy.
+    A right-hand-side compartment equal to a left-hand-side compartment
+    pattern, at any depth of either side, carries it (Rule).
     """
     issues: list = []
     occurrences = _occurrences(lhs, issues, "left-hand side")
@@ -300,7 +324,9 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
                 )
             )
 
-    level = _compile_level(lhs, issues, "top level")
+    # the key of every right-hand-side compartment -> the pattern it carries
+    carried = dict.fromkeys(_compartment_keys(rhs))
+    level = _compile_level(lhs, issues, "top level", carried)
     if level is not None and not (level.atoms or level.grounds or level.slots):
         issues.append(
             RuleIssue("empty-pattern", "left-hand side consumes nothing", None)
@@ -323,7 +349,7 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
 
         rate = MassAction(1.0)
     splice_residue = rhs.splice == level.residue and rhs_occurrences[level.residue] == 1
-    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs,
+    return Rule(id=rule_id, lhs=level, rhs=_carrying(rhs, carried), rate=rate, lhs_open=lhs,
                 splice_residue=splice_residue)
 
 
@@ -359,7 +385,35 @@ def _occurrences(o: OpenTerm, issues: list, side: str, copies: int = 1, acc=None
     return acc
 
 
-def _compile_level(o: OpenTerm, issues: list, where: str) -> Optional[LevelPattern]:
+def _compartment_keys(o: OpenTerm) -> set:
+    """The key of every compartment of o, at any depth."""
+    keys = set()
+    for el, _ in o.items:
+        if type(el) is OpenCompartment:
+            keys.add(el._key)
+            keys |= _compartment_keys(el.content)
+    return keys
+
+
+def _carrying(o: OpenTerm, carried: dict) -> OpenTerm:
+    """o with every compartment, at any depth, a copy that carries the
+    pattern carried maps its key to, if any."""
+    items = []
+    for el, n in o.items:
+        if type(el) is OpenCompartment:
+            pattern = carried.get(el._key)
+            content = el.content if pattern is not None else _carrying(el.content, carried)
+            el = OpenCompartment(el.wrap_atoms, el.wrap_vars, content)
+            el.carried = pattern
+        items.append((el, n))
+    return OpenTerm(items)
+
+
+def _compile_level(o: OpenTerm, issues: list, where: str,
+                   carried: dict) -> Optional[LevelPattern]:
+    """The LevelPattern of o, or None with the issues found added; a
+    compartment pattern whose key is in carried, the right-hand side's
+    compartment keys, carries itself and goes in carried under its key."""
     atoms = []
     grounds = []
     slots = []
@@ -389,7 +443,7 @@ def _compile_level(o: OpenTerm, issues: list, where: str) -> Optional[LevelPatte
                     )
                 )
                 ok = False
-            inner = _compile_level(el.content, issues, f"compartment at {where}")
+            inner = _compile_level(el.content, issues, f"compartment at {where}", carried)
             if inner is None:
                 ok = False
             if n > 1:
@@ -397,8 +451,11 @@ def _compile_level(o: OpenTerm, issues: list, where: str) -> Optional[LevelPatte
                 # linearity check reports them, but keep compiling.
                 ok = False
             if ok and inner is not None:
+                carry = el if el._key in carried else None
+                if carry is not None:
+                    carried[el._key] = el
                 slots.append(
-                    CompartmentPattern(el.wrap_atoms, el.wrap_vars[0][0], inner)
+                    CompartmentPattern(el.wrap_atoms, el.wrap_vars[0][0], inner, carry)
                 )
     if residue_occurrences != 1:
         issues.append(

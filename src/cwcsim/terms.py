@@ -11,10 +11,12 @@ functions.  ``_canonical`` sorts unsorted input: what the public
 constructors of terms, wraps, open terms and wrap variable bags take,
 checked once with ``_checked`` first, and the outcome lists of
 matching.outcome_terms and the oracle.  ``_spliced`` edits a level already
-canonical, inserting and removing a few pairs by bisect: every
+canonical, inserting and removing a few pairs by bisect on its keys: every
 subtraction, union and bag difference, every level apply_subst
 instantiates and every level replace_at rewrites, so an event never sorts
-a level again.
+a level again.  A spliced term (Term._spliced) takes its key, size, depth
+and atom flag from its base's and the changed pairs', so building it costs
+no Python pass over the level either.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import re
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidPathError
 
@@ -87,28 +89,42 @@ def _canonical(pairs: Iterable) -> tuple:
     return tuple(sorted(merged.values(), key=_element_key))
 
 
-def _spliced(items: tuple, inserted=(), removed=()) -> tuple:
-    """Canonical items with the (element, count) pairs of inserted added,
-    then those of removed taken out, each found by bisect on ``_key``.  An
-    inserted element equal to one already there adds to its count and the
-    object there stays; a removed pair that is not contained raises
-    ValueError.  The one edit of a canonical level."""
-    out = list(items)
+def _spliced(items: list, keys: list, inserted=(), removed=()) -> list:
+    """Edit canonical items, and keys, their (element key, count) pairs, in
+    place: the (element, count) pairs of inserted added, then those of
+    removed taken out, each found by bisect on keys.  An inserted element
+    equal to one already there adds to its count and the object there
+    stays; a removed pair that is not contained raises ValueError.  Returns
+    the elements removed entirely.  The one edit of a canonical level."""
     for el, n in inserted:
-        i = bisect_left(out, el._key, key=_element_key)
-        if i < len(out) and out[i][0] == el:
-            out[i] = (out[i][0], out[i][1] + n)
+        key = el._key
+        i = bisect_left(keys, (key,))
+        if i < len(keys) and keys[i][0] == key:
+            items[i] = (items[i][0], items[i][1] + n)
+            keys[i] = (key, keys[i][1] + n)
         else:
-            out.insert(i, (el, n))
+            items.insert(i, (el, n))
+            keys.insert(i, (key, n))
+    gone = []
     for el, n in removed:
-        i = bisect_left(out, el._key, key=_element_key)
-        if i == len(out) or out[i][0] != el or out[i][1] < n:
+        key = el._key
+        i = bisect_left(keys, (key,))
+        if i == len(keys) or keys[i][0] != key or keys[i][1] < n:
             raise ValueError(f"{el!r} is not contained {n} times")
-        if out[i][1] == n:
-            del out[i]
+        if keys[i][1] == n:
+            gone.append(items[i][0])
+            del items[i], keys[i]
         else:
-            out[i] = (out[i][0], out[i][1] - n)
-    return tuple(out)
+            items[i] = (items[i][0], items[i][1] - n)
+            keys[i] = (key, keys[i][1] - n)
+    return gone
+
+
+def _bag_spliced(bag: AtomBag, inserted=(), removed=()) -> AtomBag:
+    """An atom bag edited by _spliced."""
+    items = list(bag)
+    _spliced(items, [(a._key, n) for a, n in bag], inserted, removed)
+    return tuple(items)
 
 
 def atom_bag(items: Iterable) -> AtomBag:
@@ -133,7 +149,7 @@ def bag_contains(sub: AtomBag, sup: AtomBag) -> bool:
 
 def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
     """Multiset difference sup - sub; sub must be contained in sup."""
-    return _spliced(sup, (), sub)
+    return _bag_spliced(sup, (), sub)
 
 
 class Compartment:
@@ -178,9 +194,6 @@ class Compartment:
         return Compartment._of, (self.wrap, self.content)
 
 
-SimpleTerm = Union[Atom, Compartment]
-
-
 class Term:
     """A canonical multiset of simple terms.
 
@@ -219,6 +232,58 @@ class Term:
         self.depth = depth
         self.has_atoms = has_atoms
 
+    @classmethod
+    def _spliced(cls, base: "Term", inserted=(), removed=(), taken=None) -> "Term":
+        """base with one copy of its element at index taken taken out, if
+        given, then inserted and removed spliced in (terms._spliced): the
+        spliced constructor.  The key is base's, edited where the pairs
+        changed, and size, depth and has_atoms come from base's and the
+        changed elements'; only when an element removed entirely held the
+        depth, or atoms, and no inserted element left in place holds them
+        too are the remaining elements read again."""
+        items, keys = list(base.items), list(base._key)
+        size, depth, has_atoms = base.size, base.depth, base.has_atoms
+        gone = []
+        if taken is not None:
+            el, n = items[taken]
+            size -= el.size
+            if n > 1:
+                items[taken], keys[taken] = (el, n - 1), (keys[taken][0], n - 1)
+            else:
+                gone.append(el)
+                del items[taken], keys[taken]
+        for el, n in inserted:
+            size += n * el.size
+            if el.depth > depth:
+                depth = el.depth
+            if el.has_atoms:
+                has_atoms = True
+        for el, n in removed:
+            size -= n * el.size
+        gone += _spliced(items, keys, inserted, removed)
+        lost_depth = lost_atoms = False
+        for g in gone:
+            lost_depth = lost_depth or g.depth == depth
+            lost_atoms = lost_atoms or g.has_atoms
+        if lost_depth or lost_atoms:
+            for el, _ in inserted:
+                for g in gone:  # equal elements hash alike
+                    if el is g or el._hash == g._hash and el == g:
+                        break  # removed again
+                else:
+                    lost_depth = lost_depth and el.depth < depth
+                    lost_atoms = lost_atoms and not el.has_atoms
+            if lost_depth:
+                depth = max([el.depth for el, _ in items], default=0)
+            if lost_atoms:
+                has_atoms = any([el.has_atoms for el, _ in items])
+        t = object.__new__(cls)
+        t.items = tuple(items)
+        t._key = tuple(keys)
+        t._hash = hash(t._key)
+        t.size, t.depth, t.has_atoms = size, depth, has_atoms
+        return t
+
     # Atoms have size 1 and depth 0; Compartment sets its own.
     def __eq__(self, other):
         return self is other or (type(other) is Term and other._key == self._key)
@@ -253,18 +318,12 @@ class Term:
             if type(el) is Compartment:
                 yield i, el, n
 
-    def occurrences(self) -> Iterator[SimpleTerm]:
-        """Every occurrence, with multiplicity copies expanded."""
-        for el, n in self.items:
-            for _ in range(n):
-                yield el
-
     def union(self, other: "Term") -> "Term":
-        return Term._of(_spliced(self.items, other.items))
+        return Term._spliced(self, other.items)
 
     def subtract(self, pairs: Iterable) -> "Term":
         """Remove a (element, count) multiset; raises if not contained."""
-        return Term._of(_spliced(self.items, (), pairs))
+        return Term._spliced(self, (), pairs)
 
 
 EMPTY = Term()
@@ -361,13 +420,6 @@ def _step(t: Term, step) -> tuple:
     return el, n
 
 
-def resolve(t: Term, path: Path) -> Term:
-    """Return the content term addressed by path ((), the empty path, is t)."""
-    for step in path:
-        t = _step(t, step)[0].content
-    return t
-
-
 def replace_at(t: Term, path: Path, new_content: Term) -> Term:
     """Replace the content addressed by path in exactly one compartment copy.
     The copy is taken out by its index, before the rebuilt compartment goes
@@ -375,11 +427,9 @@ def replace_at(t: Term, path: Path, new_content: Term) -> Term:
     costs time quadratic in that depth."""
     if not path:
         return new_content
-    el, n = _step(t, path[0])
-    i = path[0][0]
+    el, _ = _step(t, path[0])
     rebuilt = Compartment._of(el.wrap, replace_at(el.content, path[1:], new_content))
-    kept = ((el, n - 1),) if n > 1 else ()
-    return Term._of(_spliced(t.items[:i] + kept + t.items[i + 1:], ((rebuilt, 1),)))
+    return Term._spliced(t, ((rebuilt, 1),), taken=path[0][0])
 
 
 @dataclass(frozen=True)

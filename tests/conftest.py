@@ -21,7 +21,7 @@ from cwcsim.pattern import (
     wrap_var,
 )
 from cwcsim.rates import MassAction
-from cwcsim.terms import Atom, Compartment, atom_bag
+from cwcsim.terms import Atom, Compartment, _step, atom_bag
 
 ATOM_NAMES = ("a", "b", "c", "d")
 
@@ -49,6 +49,19 @@ def gen_term(rng: random.Random, depth: int = 2, atom_budget: int = 8) -> Term:
             count = 2 if rng.random() < 0.3 else 1
             elements.append((comp, count))
     return Term(elements)
+
+
+def resolve(t: Term, path) -> Term:
+    """The content path addresses in t (() is t), each step checked as
+    replace_at checks it."""
+    for step in path:
+        t = _step(t, step)[0].content
+    return t
+
+
+def occurrences(t: Term) -> list:
+    """Every element of t's top level, with multiplicity copies expanded."""
+    return [el for el, n in t.items for _ in range(n)]
 
 
 def levels(state: Term, path=()):

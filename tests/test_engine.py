@@ -19,8 +19,10 @@ from cwcsim import (
 )
 from cwcsim import engine
 from cwcsim.engine import TransitionStore, derive_seed, incremental_retransitions, step
-from cwcsim.terms import MAX_DEPTH, Atom, Compartment, Term, replace_at, shared
-from tests.conftest import gen_rule, gen_term, instantiate_lhs
+from cwcsim.terms import (
+    MAX_DEPTH, Atom, Compartment, Observable, Scope, Term, count_atom, replace_at, shared,
+)
+from tests.conftest import ATOM_NAMES, gen_rule, gen_term, instantiate_lhs
 
 
 def model_of(text: str) -> Model:
@@ -505,3 +507,49 @@ def test_store_iteration_yields_the_same_objects():
     store = TransitionStore(NESTED.init, NESTED.rules)
     for k in range(len(store)):
         assert list(store)[k] is list(store)[k]
+
+
+SCOPES = (
+    Scope("top"), Scope("anywhere"), Scope("inside", Atom("a")), Scope("on-wrap"),
+    Scope("on-wrap", Atom("a")),
+)
+
+
+def test_a_sampled_row_equals_count_atom_on_the_whole_state(rng):
+    # one memo over every state, as in a run, so most classes are met again
+    observables = tuple(
+        Observable(f"{name}{k}", Atom(name), scope)
+        for k, scope in enumerate(SCOPES) for name in ATOM_NAMES
+    )
+    element_rows = engine.Memo(engine.MEMO_BUDGET, len(observables))
+    met = 0
+    for _ in range(300):
+        state = gen_term(rng, depth=3, atom_budget=10)
+        want = tuple(count_atom(state, o.atom, o.scope) for o in observables)
+        assert engine._sampled(state, observables, element_rows) == want
+        met += len(state.items)
+    assert len(element_rows.young) + len(element_rows.old) < met // 2
+
+
+def test_the_sample_memo_stays_within_its_budget_on_a_diverging_run(monkeypatch):
+    # 16 pho cells soon differ from each other, and sampled often, each
+    # new cell is a new class of the sample memo; a smaller budget makes
+    # it turn over within a short run
+    monkeypatch.setattr(engine, "MEMO_BUDGET", 20_000)
+    text = importlib.resources.files("cwcsim").joinpath("models/pho.cwc").read_text()
+    cell = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
+    model = model_of(f"init Pi*320 {' '.join([cell] * 16)}\nrule " + text.split("\nrule ", 1)[1])
+    memos = set()
+    sampled = engine._sampled
+
+    def checked(s, observables, element_rows):
+        row = sampled(s, observables, element_rows)
+        assert element_rows.weight <= element_rows.budget == engine.MEMO_BUDGET
+        if element_rows.old:
+            memos.add(id(element_rows))
+        return row
+
+    monkeypatch.setattr(engine, "_sampled", checked)
+    traj = run(model, SimConfig(max_events=3000, seed=5, sample_dt=0.01))
+    assert traj.events == 3000 and len(traj.samples) > 1000
+    assert memos  # the young generation filled and turned over

@@ -344,3 +344,24 @@ def test_folded_and_marked_states_have_one_distribution(law):
             assert a.keys() == b.keys()
             assert all(math.isclose(a[x], b[x], rel_tol=1e-9, abs_tol=1e-15) for x in a)
 
+
+
+CARRIED_PAIR = (
+    "init (m | (n | *)) (m | (n | *)) (m | (n | *))\n"
+    "rule r: (m ~x | (n ~y | $Y) $X) (m ~u | (n ~v | $V) $U)\n"
+    "  => (k | (n ~y | $Y) (n ~v | $V)) @ 1\n"
+)
+
+
+def test_a_carried_compartment_counts_like_the_oracle():
+    # each (n | *) is carried into k as the element it matched; were that
+    # binding read as carrying atoms, the slots would pick ordered copies
+    # of the atom-free cells (m | (n | *)) and count 6 in place of 3
+    m = model_of(CARRIED_PAIR)
+    rule, = m.rules
+    assert [slot.content.slots[0].carry is not None for slot in rule.lhs.slots] == [True, True]
+    want = oracle_outcomes(rule, m.init)
+    assert [n for _, n in want] == [3]
+    assert outcome_terms(rule, m.init) == want
+    assert [t.n for t in enumerate_transitions(m.init, m.rules)] == [3]
+    generator(m.init, m.rules)  # every reachable state against the oracle

@@ -10,8 +10,8 @@ import pytest
 from cwcsim import oracle_outcomes, parse_rule, parse_term
 from cwcsim.matching import level_matches, outcome_terms
 from cwcsim.pattern import apply_subst
-from cwcsim.terms import EMPTY, resolve
-from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
+from cwcsim.terms import EMPTY
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels, resolve
 
 
 def assert_oracle_agrees(rule, content):

@@ -24,7 +24,7 @@ from cwcsim import (
 )
 from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import Outcome, level_matches, level_outcomes, outcome_terms
-from cwcsim.pattern import Variable, apply_subst
+from cwcsim.pattern import OpenCompartment, OpenTerm, Variable, apply_subst, validate_rule
 from cwcsim.rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num, rate_of
 from cwcsim.terms import Atom, Compartment, _canonical, replace_at
 from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
@@ -323,3 +323,106 @@ def test_a_rule_splices_its_residue_only_when_it_occurs_once_at_the_top():
     assert parse_rule("a (m ~w | $Y) $X -> (m ~w | c $Y) $X @ 1").splice_residue
     for text in FALLBACKS:
         assert not parse_rule(text).splice_residue
+
+
+# every cell distinct, so that no outcome puts a carried cell on a level
+# that already holds an equal one, which would keep its own object
+MACROPHAGE_STATE = (
+    "(CD31 M | (lyso | lyticEnz) m1) (CD31 V N | v1) (CD31 A N | a1) "
+    "(I | (CD31 M | (lyso | lyticEnz) m2) (CD31 V N | v2)) "
+    "(I | (CD31 M | (lyso | lyticEnz) m3) (CD31 A N | a3)) "
+    "(CD31 M | (lyso | lyticEnz) (phago | (CD31 A N | a4)) m4)"
+)
+CARRYING = [
+    # nested in a rebuilt compartment
+    "(m ~x | (n ~y | $Y) $X) $R -> (m ~x | a (n ~y | $Y) $X) $R @ 1",
+    # one left-hand-side compartment carried twice
+    "(n ~y | $Y) $R -> (k | (n ~y | $Y)) (n ~y | $Y) $R @ 1",
+    "(n ~y | $Y) $R -> (n ~y | $Y) (n ~y | $Y) $R @ 1",
+    # a nested pattern that consumes atoms and puts them back
+    "(m ~x | a $X) $R -> b (m ~x | a $X) $R @ 1",
+    "(m ~x | (n ~y | a $Y) $X) $R -> (k | (n ~y | a $Y)) $R @ 1",
+]
+CARRYING_STATE = "b (m | a (n | a b) c) (m | (n | a)) (n | a a) (k | (m | a)) (m x | a)"
+
+
+def patterns(o: OpenTerm):
+    """Every compartment pattern of a left-hand side, at any depth."""
+    for el, _ in o.items:
+        if type(el) is OpenCompartment and not el.is_ground:
+            yield el
+            yield from patterns(el.content)
+
+
+def carrying(rng, rule):
+    """rule with compartments equal to some of its left-hand side's
+    patterns added to its right-hand side, at the top or in a new
+    compartment."""
+    found = list(patterns(rule.lhs_open))
+    if not found:
+        return rule
+    extra = [p if rng.random() < 0.5 else OpenCompartment([Atom("k")], (), OpenTerm([p]))
+             for p in rng.sample(found, rng.randint(1, len(found)))]
+    return validate_rule(rule.lhs_open, rule.rhs.union(OpenTerm(extra)), rate=rule.rate,
+                         rule_id=rule.id)
+
+
+def element_ids(t: Term, acc: set) -> set:
+    """The ids of every compartment object in t, at any depth."""
+    for el, _ in t.items:
+        if type(el) is Compartment:
+            acc.add(id(el))
+            element_ids(el.content, acc)
+    return acc
+
+
+def carried_kept(o: OpenTerm, subst: dict, got: Term, objects: set) -> tuple:
+    """(carried, matched): the compartments of o that carry a pattern,
+    each checked to be in got as an object of the matched state, and how
+    many of them are the very element their pattern took."""
+    mine = {el: el for el, _ in got.items}
+    carried = matched = 0
+    for el, _ in o.items:
+        if type(el) is not OpenCompartment:
+            continue
+        if el.carried is not None:
+            bound = subst[el.carried]
+            found = mine[bound]
+            # a level that splices keeps its own object for an equal element
+            assert id(found) in objects
+            carried, matched = carried + 1, matched + (found is bound)
+        else:
+            built = canonical_instance(OpenTerm([el]), subst).items[0][0]
+            c, m = carried_kept(el.content, subst, mine[built].content, objects)
+            carried, matched = carried + c, matched + m
+    return carried, matched
+
+
+def test_carried_compartments_are_the_matched_elements(rng):
+    """Every outcome equals the right-hand side built with carrying off
+    (canonical_instance rebuilds every compartment), and every compartment
+    the right-hand side carries is, in the outcome, the element of the
+    matched state that its pattern took."""
+    macrophage = importlib.resources.files("cwcsim").joinpath("models/macrophage.cwc")
+    cases = [(rule, MACROPHAGE_STATE) for rule in parse_model(macrophage.read_text()).rules]
+    cases += [(parse_rule(text), CARRYING_STATE) for text in CARRYING]
+    cases += [(carrying(rng, gen_rule(rng, f"r{i}")), None) for i in range(300)]
+    outcomes = carried = matched = 0
+    for rule, text in cases:
+        if text is None:
+            state = gen_term(rng, depth=2, atom_budget=6).union(instantiate_lhs(rng, rule))
+        else:
+            state = parse_term(text)
+        objects = element_ids(state, set())
+        matched_here = 0
+        for _, content in levels(state):
+            for bindings, consumed, _ in level_matches(rule.lhs, content):
+                subst = dict(bindings)
+                subst[rule.lhs.residue] = content.subtract(consumed)
+                got = Outcome(rule, content, bindings, consumed).term()
+                assert got == canonical_instance(rule.rhs, subst)
+                c, m = carried_kept(rule.rhs, subst, got, objects)
+                outcomes, carried, matched_here = outcomes + 1, carried + c, matched_here + m
+        assert text is None or matched_here, rule.id  # every hand-written case carries
+        matched += matched_here
+    assert outcomes > 300 and carried > 300 and matched > carried // 2

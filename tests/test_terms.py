@@ -27,11 +27,10 @@ from cwcsim.terms import (
     bag_total,
     count_atom,
     replace_at,
-    resolve,
     _flatten,
     _spliced,
 )
-from tests.conftest import ATOM_NAMES, gen_term, levels
+from tests.conftest import ATOM_NAMES, gen_term, levels, occurrences, resolve
 
 atoms = st.sampled_from("a b c d".split()).map(Atom)
 bags = st.lists(atoms, max_size=3).map(atom_bag)
@@ -105,7 +104,7 @@ def test_canonical_form_invariants(t):
     # atoms sort before compartments
     kinds = [key[0] for key in keys]
     assert kinds == sorted(kinds)
-    assert t == Term(t.items) == Term(list(t.occurrences()))
+    assert t == Term(t.items) == Term(occurrences(t))
     assert t.size == sum(n * _size(el) for el, n in t.items)
     assert t.depth == max((_depth(el) for el, _ in t.items), default=0)
     assert t.has_atoms == any(_has_atoms(el) for el, _ in t.items)
@@ -160,13 +159,50 @@ def _merged(pairs) -> tuple:
 def test_spliced_equals_a_merge_and_keeps_the_bases_objects(base, inserted, other, data):
     grown = _merged(base.items + tuple(inserted))
     removed = [(el, data.draw(st.integers(1, n))) for el, n in grown if data.draw(st.booleans())]
-    got = _spliced(base.items, inserted, removed)
-    assert got == _merged(grown + tuple((el, -n) for el, n in removed))
+    items, keys = list(base.items), list(base._key)
+    gone = _spliced(items, keys, inserted, removed)
+    assert tuple(items) == _merged(grown + tuple((el, -n) for el, n in removed))
+    assert keys == [(el._key, n) for el, n in items]
+    assert set(gone) == {el for el, _ in grown} - {el for el, _ in items}
     mine = {el: el for el, _ in base.items}
-    assert all(mine.get(el, el) is el for el, _ in got)
+    assert all(mine.get(el, el) is el for el, _ in items)
     taken = dict(grown)
     with pytest.raises(ValueError):
-        _spliced(base.items, inserted, [(other, taken.get(other, 0) + 1)])
+        _spliced(list(base.items), list(base._key), inserted,
+                 [(other, taken.get(other, 0) + 1)])
+
+
+@settings(deadline=None)
+@given(terms, st.lists(st.tuples(simples, st.integers(1, 3)), max_size=4), st.data())
+def test_a_spliced_term_equals_one_built_from_its_pairs(base, inserted, data):
+    taken = None
+    if base.items and data.draw(st.booleans()):
+        taken = data.draw(st.integers(0, len(base.items) - 1))
+    start = list(base.items)
+    if taken is not None:
+        start[taken] = (start[taken][0], start[taken][1] - 1)
+    grown = _merged(tuple(start) + tuple(inserted))
+    removed = [(el, data.draw(st.integers(1, n))) for el, n in grown if data.draw(st.booleans())]
+    got = Term._spliced(base, inserted, removed, taken)
+    want = Term(_merged(grown + tuple((el, -n) for el, n in removed)))
+    _same(got, want)
+    assert got._key == want._key
+    mine = {el: el for el, n in start if n}
+    assert all(mine.get(el, el) is el for el, _ in got.items)
+
+
+def test_a_spliced_term_reads_its_elements_only_when_a_removed_one_held_what_it_lost():
+    deep = parse_term("(m | (n | b))").items[0][0]
+    base = parse_term("a (m | (n | b)) (k | c)")
+    _same(Term._spliced(base, (), [(deep, 1)]), parse_term("a (k | c)"))  # depth 2 -> 1
+    _same(Term._spliced(base, (), (), taken=2), parse_term("a (k | c)"))
+    _same(Term._spliced(base, [(parse_term("(p | (q | *))").items[0][0], 1)], [(deep, 1)]),
+          parse_term("a (k | c) (p | (q | *))"))  # an inserted element keeps the depth
+    bare = Compartment((), EMPTY)
+    _same(Term._spliced(Term([Atom("a"), bare]), (), [(Atom("a"), 1)]), Term([bare]))
+    # an inserted element removed entirely again holds nothing
+    _same(Term._spliced(Term([bare]), [(deep, 1)], [(deep, 1)]), Term([bare]))
+    _same(Term._spliced(Term([bare]), [(Atom("a"), 2)], [(Atom("a"), 2)]), Term([bare]))
 
 
 def test_path_errors():
@@ -193,7 +229,6 @@ def test_multiset_arithmetic():
         t.subtract([(Atom("a"), 3)])
     with pytest.raises(ValueError):
         t.subtract([(Atom("z"), 1)])
-    assert sorted(a.name for a in parse_term("a a b").occurrences()) == ["a", "a", "b"]
 
 
 def _same(got: Term, want: Term):
@@ -224,7 +259,7 @@ def _open(t: Term) -> OpenTerm:
 def test_trusted_constructions_equal_validated_ones(t, u, c, wrap, x_val, data):
     taken = [(el, data.draw(st.integers(0, n))) for el, n in t.items]
     _same(t.subtract(taken), Term([(el, n - k) for (el, n), (_, k) in zip(t.items, taken)]))
-    _same(t.union(u), Term(list(t.occurrences()) + list(u.occurrences())))
+    _same(t.union(u), Term(occurrences(t) + occurrences(u)))
     for path in all_paths(t):
         _same(replace_at(t, path, c), _replace_by_elements(t, path, c))
     X, x = term_var("X"), wrap_var("x")
