@@ -51,8 +51,13 @@ incremental_retransitions hands it on with the rules, so a memo serves
 exactly one rules tuple.  It keeps nodes keyed by level content, and the
 rows of every top-level slot on one compartment element keyed by the
 element; nested slot levels are computed inside an index miss and not
-kept.  An entry weighs the size its key's content or element caches,
-times the rules' top-level slot count for an element; MEMO_BUDGET bounds
+kept.  A root that keeps a _Level goes in only when it recurs, since most
+crowd states are met once: its first visit leaves a mark (Memo.admit), and
+its node goes in when the chain reaches the content again, or when an
+event undoes the one before it and the store's back root, the root before
+its own, is reused.  Every other node goes in when it is built.  An entry
+weighs the size its key's content or element caches, times the rules'
+top-level slot count for an element, and a mark MARK; MEMO_BUDGET bounds
 the summed weight over two generations, so a diverging run keeps a bounded
 memo.  Eviction is safe: a store holds its nodes directly, every node its
 children and Outcomes, a root its _Level, and an evicted entry is rebuilt
@@ -116,12 +121,16 @@ class SimConfig:
     log_events: bool = False
 
     def __post_init__(self):
-        for name in ("seed", "max_events", "replicates", "max_term_size", "max_depth"):
+        real = (int, float)
+        for name, kind in (("seed", int), ("max_events", int), ("replicates", int),
+                           ("max_term_size", int), ("max_depth", int),
+                           ("t_max", real), ("sample_dt", real)):
             value = getattr(self, name)
-            if value is None and name == "max_events":
+            if value is None and name in ("max_events", "t_max"):
                 continue
-            if not isinstance(value, int) or type(value) is bool:
-                raise ValueError(f"{name} must be an integer")
+            if not isinstance(value, kind) or type(value) is bool:
+                what = "an integer" if kind is int else "a real number"
+                raise ValueError(f"{name} must be {what}")
         if self.t_max is None and self.max_events is None:
             raise ValueError("need a time horizon or an event cap")
         if self.t_max is not None and not self.t_max > 0:
@@ -194,10 +203,19 @@ class _Node:
         self.level = level
 
 
-# The summed weight one store chain's Memo may keep.  On diverging 16-cell
-# pho runs and 64-cell macrophage crowds, smaller budgets re-rate recurring
-# crowd states, and larger ones add memory without speeding pho up.
+# The summed weight one store chain's Memo may keep.  On 10,000-event 16- and
+# 64-cell pho runs and a 3,000-event 64-cell macrophage crowd, with crowd
+# roots kept only when they recur: a quarter of it re-rates recurring
+# states, 10-19% slower per event, and two to four times it is 2-4% faster
+# for 0.5-1.5 MB more peak RSS.
 MEMO_BUDGET = 250_000
+
+# The weight of a mark (Memo.admit).  A mark takes about 84 bytes, a unit of
+# weight 3 when every root was kept and about 15 in a root kept because it
+# recurred, which holds the outcomes its visits built.  At this weight the
+# memo of a 60,000-event 64-cell pho run peaks at 0.63 MB, against 0.84 MB
+# when every root was kept and 0.91 MB at half this weight.
+MARK = 256
 
 
 class Memo:
@@ -209,8 +227,9 @@ class Memo:
     for an element (_weight).  Two generations: an entry goes into the
     young one, which becomes the old one, dropping the previous old one,
     when it would pass half the budget; a hit in the old generation moves
-    the entry back into the young one.  An entry heavier than half the
-    budget is not kept."""
+    the entry back into the young one, and a key stored again replaces its
+    entry and is weighed once.  An entry heavier than half the budget is
+    not kept.  A crowd root's first visit leaves only a mark (admit)."""
 
     __slots__ = ("budget", "width", "young", "old", "young_weight", "old_weight")
 
@@ -239,14 +258,39 @@ class Memo:
         half = self.budget // 2
         if w > half:
             return
+        if self.young.pop(key, None) is not None:  # stored again: weighed once
+            self.young_weight -= w
+        elif self.old.pop(key, None) is not None:
+            self.old_weight -= w
         if self.young_weight + w > half:
             self.old, self.young = self.young, {}
             self.old_weight, self.young_weight = self.young_weight, 0
         self.young[key] = value
         self.young_weight += w
 
+    def admit(self, key, node, again: bool = False):
+        """Store node under key if key recurs: again says it does, or the
+        mark of key is held, which goes.  Else leave that mark: key's hash
+        with no value but True, of weight MARK, which keeps neither node nor
+        key alive and ages out with its generation.  No lookup of a term
+        equals a mark.  A key whose hash collides with a marked one is kept
+        one visit early, which costs memory only."""
+        mark = hash(key)
+        if self.young.pop(mark, None) is not None:
+            self.young_weight -= MARK
+            again = True
+        elif self.old.pop(mark, None) is not None:
+            self.old_weight -= MARK
+            again = True
+        if again:
+            self[key] = node
+        else:
+            self[mark] = True
+
     def _weight(self, key) -> int:
-        return key.size if type(key) is Term else key.size * self.width
+        if type(key) is Term:
+            return key.size
+        return MARK if type(key) is int else key.size * self.width
 
 
 class _Level:
@@ -353,9 +397,11 @@ def _node(content: Term, rules: tuple, memo, path: Path, base=_EMPTY) -> _Node:
     _Level, else from the empty level; path is where the content was met,
     for error messages only.  Every rule is counted
     (matching.counted_matches) or enumerated, and rated, in rule order; a
-    rule no class or atom enables counts to [] from the sums or its atoms.  A root of at least DERIVE_FROM classes
-    keeps its _Level.  A node holds its children directly, so evicting a
-    node from the memo never invalidates its parents."""
+    rule no class or atom enables counts to [] from the sums or its atoms.
+    A root of at least DERIVE_FROM classes keeps its _Level and goes into
+    the memo on its second visit (Memo.admit); every other node on its
+    first.  A node holds its children directly, so evicting a node from the
+    memo never invalidates its parents."""
     node = memo.get(content)
     if node is not None:
         return node
@@ -399,7 +445,10 @@ def _node(content: Term, rules: tuple, memo, path: Path, base=_EMPTY) -> _Node:
         raise SimulationError(
             f"total rate at {path} is not finite", path=path, code="nonfinite-rate"
         ) from None
-    memo[content] = node
+    if level is None:
+        memo[content] = node
+    else:
+        memo.admit(content, node)
     return node
 
 
@@ -410,19 +459,22 @@ class TransitionStore:
     index entries; its successors (incremental_retransitions) inherit both,
     so a memo serves exactly one rules tuple.  len() counts the
     transitions, one per match class of a counted entry, and total sums
-    their rates.  Iteration yields them in canonical pre-order from a list
-    built once and kept, so one store always yields the same objects."""
+    their rates.  back is the root before this store's when that root keeps
+    a _Level, else None.  Iteration yields them in canonical pre-order from
+    a list built once and kept, so one store always yields the same
+    objects."""
 
-    __slots__ = ("rules", "memo", "root", "total", "_list")
+    __slots__ = ("rules", "memo", "root", "back", "total", "_list")
 
     def __init__(self, state: Term, rules):
         self.rules = tuple(rules)
         self.memo = Memo(MEMO_BUDGET, sum(len(rule.lhs.slots) for rule in self.rules))
-        self._rate(state, _EMPTY)
+        self.back = None
+        self._rooted(_node(state, self.rules, self.memo, ()))
 
-    def _rate(self, state: Term, base: _Node) -> "TransitionStore":
-        self.root = _node(state, self.rules, self.memo, (), base)
-        self.total = self.root.total
+    def _rooted(self, root: _Node) -> "TransitionStore":
+        self.root = root
+        self.total = root.total
         self._list = None
         return self
 
@@ -494,14 +546,21 @@ def enumerate_transitions(state: Term, rules) -> list:
 
 def incremental_retransitions(prev: TransitionStore, next_state: Term) -> TransitionStore:
     """The store after one event, given the store before it, whose rules
-    and memo it inherits.  A root the memo holds is reused.  A missed
-    root is derived from prev's root: only the compartment classes the
-    event changed are looked up in the element index, tallied and built,
-    every other class keeps its subtree, and every rule is counted and
-    rated again on the new root (module docstring)."""
+    and memo it inherits.  A root the memo holds is reused, and so is
+    prev's back root, the one before prev's, when the event undid the one
+    before it; that root then goes into the memo, as a recurring one.  A
+    missed root is derived from prev's root: only the compartment classes
+    the event changed are looked up in the element index, tallied and
+    built, every other class keeps its subtree, and every rule is counted
+    and rated again on the new root (module docstring)."""
     store = object.__new__(TransitionStore)
     store.rules, store.memo = prev.rules, prev.memo
-    return store._rate(next_state, prev.root)
+    back, base = prev.back, prev.root
+    store.back = base if base.level is not None else None
+    if back is not None and back.level.content == next_state:  # the event undid the last
+        store.memo.admit(next_state, back, True)
+        return store._rooted(back)
+    return store._rooted(_node(next_state, store.rules, store.memo, (), base))
 
 
 def step(state: Term, transitions: TransitionStore, rng: Random):

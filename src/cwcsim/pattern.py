@@ -153,11 +153,6 @@ def ground_term(o: OpenTerm) -> Term:
     return Term(out)
 
 
-def vars_of(o: OpenTerm) -> set:
-    """All variables occurring in an open term."""
-    return set(_occurrences(o, [], ""))
-
-
 class SubstitutionError(CwcError):
     def __init__(self, code: str, message: str):
         super().__init__(message)

@@ -14,10 +14,10 @@ from cwcsim import Term
 from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
+    Variable,
     apply_subst,
     term_var,
     validate_rule,
-    vars_of,
     wrap_var,
 )
 from cwcsim.rates import MassAction
@@ -62,6 +62,18 @@ def resolve(t: Term, path) -> Term:
 def occurrences(t: Term) -> list:
     """Every element of t's top level, with multiplicity copies expanded."""
     return [el for el, n in t.items for _ in range(n)]
+
+
+def vars_of(o: OpenTerm) -> set:
+    """All variables occurring in an open term, at any depth."""
+    found = set()
+    for el, _ in o.items:
+        if type(el) is Variable:
+            found.add(el)
+        elif type(el) is OpenCompartment:
+            found.update(v for v, _ in el.wrap_vars)
+            found |= vars_of(el.content)
+    return found
 
 
 def levels(state: Term, path=()):

@@ -119,6 +119,56 @@ def test_mixed_rules_derive_roots_equal_to_fresh_ones():
     assert fired >= {"grow", "shed", "fuse", "pair", "load", "free", "split", "gain"}
 
 
+def held(memo, content):
+    """"node" when memo keeps content's node, "mark" when it keeps only the
+    mark of a root seen once, else None."""
+    entries = {**memo.old, **memo.young}
+    if content in entries:
+        return "node"
+    return "mark" if entries.get(hash(content)) is True else None
+
+
+def test_a_recurring_crowd_root_is_marked_then_kept():
+    # a root of a few classes or more leaves a mark on its first visit and
+    # is kept on its second: a return to the state before the previous one
+    # reuses that store's root (A B A), a longer cycle (C D E F C D) finds
+    # the mark and keeps the root it builds again; each equals a fresh node
+    states = [parse_term(s) for s in (
+        "a*6 b*3 (m | a) (m | b) (n | a) (k | *)",  # A
+        "a*5 b*3 (m | a a) (m | b) (n | a) (k | *)",  # B: grow
+        "a*6 b*3 (m | a) (m | b) (n | a) (k | *)",  # A: shed
+        "a*6 b*2 (m | a) (m | b) (n | a) (k | b)",  # C: load
+        "a*5 b*2 (m | a a) (m | b) (n | a) (k | b)",  # D: grow
+        "a*4 b*2 (m | a a) (m | a b) (n | a) (k | b)",  # E: grow
+        "a*5 b*2 (m | a) (m | a b) (n | a) (k | b)",  # F: shed
+        "a*6 b*2 (m | a) (m | b) (n | a) (k | b)",  # C: shed
+        "a*5 b*2 (m | a a) (m | b) (n | a) (k | b)",  # D: grow
+    )]
+    rules = MIXED.rules
+    store = TransitionStore(states[0], rules)
+    assert len(store.root.level.tables) >= engine.DERIVE_FROM
+    roots = {states[0]: store.root}
+    for state in states[1:]:
+        assert state in {replace_at(store.root.level.content, t.path, t.outcome_local)
+                         for t in store}  # an event of the rules
+        first = state not in roots
+        assert held(store.memo, state) == (None if first else "mark")
+        derived = incremental_retransitions(store, state)
+        fresh = TransitionStore(state, rules)
+        assert_same_node(derived.root, fresh.root)
+        assert list(derived) == list(fresh)
+        if first:
+            assert held(store.memo, state) == "mark"
+            roots[state] = derived.root
+        else:
+            assert held(store.memo, state) == "node"
+            assert store.memo.get(state) is derived.root
+        store = derived
+    a, b = states[0], states[1]
+    assert roots[a] is store.memo.get(a)  # A's first root, reused
+    assert held(store.memo, b) == "mark"  # B came once
+
+
 # rules that only an atom or an uncounted copy enables: make needs c, which
 # emit puts at the top without touching make's class, and lift rates by it;
 # twin's slots both take only the atom-free class, whose second copy bud

@@ -355,6 +355,12 @@ def test_config_validation():
                 {"replicates": True}, {"max_term_size": False}, {"max_depth": True}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(t_max=1.0, **bad)
+    # times that are not real numbers, which used to escape as TypeError, and
+    # bools, which used to pass as 0 or 1 (t_max=True ran to t = 1)
+    for bad in ({"t_max": "10"}, {"t_max": True}, {"t_max": 1j}, {"sample_dt": "1"},
+                {"sample_dt": True}, {"sample_dt": None}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SimConfig(**{"t_max": 1.0, **bad})
     # sample grids that are not finite
     for t_max, sample_dt in [(math.inf, 1.0), (1e300, 1e-300), (1.0, math.inf), (None, math.inf)]:
         with pytest.raises(ValueError):

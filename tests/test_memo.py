@@ -74,6 +74,21 @@ def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, cou
     assert time.perf_counter() - started < 10.0
 
 
+def test_a_one_cell_root_is_kept_on_its_first_visit():
+    # a root of fewer than DERIVE_FROM compartment classes keeps no _Level
+    # and goes into the memo when it is first built, as every nested level
+    # does: only crowd roots leave a mark first
+    model = bundled("pho.cwc", "Pi*20 " + PHO_CELL)
+    store, state = TransitionStore(model.init, model.rules), model.init
+    for _ in range(30):
+        entries = {**store.memo.old, **store.memo.young}
+        assert store.root.level is None and entries[state] is store.root
+        assert not any(type(k) is int for k in entries)  # no mark
+        chosen = next(iter(store))
+        state = replace_at(state, chosen.path, chosen.outcome_local)
+        store = incremental_retransitions(store, state)
+
+
 EVICTING = [
     ("pho.cwc", "Pi*80 " + " ".join([PHO_CELL] * 4), 1.0),
     ("macrophage.cwc", " ".join([MACROPHAGE] * 4 + ["(CD31 V N | innerL)"] * 3

@@ -11,11 +11,11 @@ from cwcsim.pattern import (
     ground_term,
     term_var,
     validate_rule,
-    vars_of,
     wrap_var,
 )
 from cwcsim.rates import MassAction
 from cwcsim.terms import EMPTY, Atom, atom_bag
+from tests.conftest import vars_of
 
 A = Atom
 X, Y, Z = term_var("X"), term_var("Y"), term_var("Z")
