@@ -320,10 +320,15 @@ DERIVE_FROM = 3
 _EMPTY = _Node((), (), _Level(EMPTY, {}, {}, {}))
 
 
-def _tally(table: tuple, copies: int, sign: int, sums: dict, shared: dict):
-    """Add copies times one compartment class's element index entry table
-    to the weights in sums, sign times its rows to the matches in sums and
-    its shared slots to shared."""
+def _tally(table: tuple, was: int, cnt: int, atoms: bool, sums: dict, shared: dict):
+    """Tally one compartment class whose copy count went from was to cnt,
+    its element index entry table: sign = (cnt > 0) - (was > 0) times its
+    rows goes to the matches in sums and its shared slots to shared, and
+    copies times its summed weights to the weights in sums, where copies is
+    cnt - was for a class that carries atoms (atoms), else sign, since one
+    copy of a class without atoms weighs what all do."""
+    sign = (cnt > 0) - (was > 0)
+    copies = cnt - was if atoms else sign
     last = None
     for key, rows, summed in table:
         weight, matches = sums[key] if key in sums else (0, 0)
@@ -343,13 +348,14 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path) -> tupl
     node of another content that keeps a _Level, by walking both contents
     in canonical order and comparing elements by identity first.  A
     compartment class whose copy count did not change keeps its table, its
-    share of sums and shared, and its child; the others are tallied out and
-    in, and a new class is looked up in the element index, when the rules
-    have a top-level slot, and its child built.  Atoms have no table: the
-    rules that read them are counted on content itself."""
+    share of sums and shared, and its child; every other one is tallied
+    (_tally) where the walk meets it: a new class is looked up in the
+    element index, when the rules have a top-level slot, and its child
+    built, and a class that is gone leaves tables.  Atoms have no table:
+    the rules that read them are counted on content itself."""
     old = base.level
     tables, sums, shared = dict(old.tables), dict(old.sums), dict(old.shared)
-    changes, children = [], []
+    children = []
     olds, kids = old.content.items, base.children
     end, ends = len(olds), len(kids)
     i = k = 0  # the next old element and the next old child
@@ -362,32 +368,27 @@ def _derived(base: _Node, content: Term, rules: tuple, memo, path: Path) -> tupl
                 break
             if o._key > el._key:
                 break
-            changes.append((o, n, 0))
+            if type(o) is Compartment:
+                _tally(tables.pop(o), n, 0, o.has_atoms, sums, shared)
             i += 1
-        if was != cnt:
-            changes.append((el, was, cnt))
-        if type(el) is Compartment and not was:
-            tables[el] = _element_rows(rules, el, memo) if memo.width else ()
-            child = _node(el.content, rules, memo, path + ((j, 0),))
-            if child.count:
-                children.append((j, cnt, child))
-        elif type(el) is Compartment:
-            while k < ends and kids[k][0] < i:
-                k += 1
-            if k < ends and kids[k][0] == i:  # else disabled, and still
-                children.append((j, cnt, kids[k][2]))
+        if type(el) is Compartment:
+            if not was:
+                tables[el] = _element_rows(rules, el, memo) if memo.width else ()
+                child = _node(el.content, rules, memo, path + ((j, 0),))
+                if child.count:
+                    children.append((j, cnt, child))
+            else:
+                while k < ends and kids[k][0] < i:
+                    k += 1
+                if k < ends and kids[k][0] == i:  # else disabled, and still
+                    children.append((j, cnt, kids[k][2]))
+            if was != cnt:
+                _tally(tables[el], was, cnt, el.has_atoms, sums, shared)
         if was:
             i += 1
-    changes.extend((o, n, 0) for o, n in olds[i:])
-    for el, was, cnt in changes:
-        if type(el) is not Compartment:
-            continue
-        if not cnt:
-            _tally(tables.pop(el), -was if el.has_atoms else -1, -1, sums, shared)
-        elif not was:
-            _tally(tables[el], cnt if el.has_atoms else 1, 1, sums, shared)
-        elif el.has_atoms:  # else one copy counts, before and after
-            _tally(tables[el], cnt - was, 0, sums, shared)
+    for o, n in olds[i:]:
+        if type(o) is Compartment:
+            _tally(tables.pop(o), n, 0, o.has_atoms, sums, shared)
     return tables, sums, shared, children
 
 
@@ -610,7 +611,7 @@ def _sampled(s: Term, observables: tuple, element_rows: Memo) -> tuple:
     for el, n in s.items:
         row = element_rows.get(el)
         if row is None:
-            one = Term._of(((el, 1),))
+            one = Term._spliced(EMPTY, ((el, 1),))
             row = tuple(count_atom(one, o.atom, o.scope) for o in observables)
             element_rows[el] = row
         total = [a + n * b for a, b in zip(total, row)]

@@ -77,7 +77,7 @@ from itertools import product
 from math import comb, inf, perm
 
 from .pattern import LevelPattern, Rule, apply_subst
-from .terms import Atom, Term, _canonical, bag_contains, bag_count, bag_diff
+from .terms import Atom, Term, _merged, bag_contains, bag_count, bag_diff
 
 
 def level_matches(lp: LevelPattern, content: Term, slots=None) -> list:
@@ -412,4 +412,4 @@ def level_outcomes(rule: Rule, content: Term, slots=None) -> list:
 def outcome_terms(rule: Rule, content: Term) -> list:
     """Distinct local outcomes built as terms, with their total
     instantiation counts, sorted canonically.  Returns [(outcome, n)]."""
-    return list(_canonical((o.term(), n) for o, n in level_outcomes(rule, content)))
+    return list(_merged((), [(o.term(), n) for o, n in level_outcomes(rule, content)]))

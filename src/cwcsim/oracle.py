@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import CwcError
 from .pattern import OpenCompartment, OpenTerm, Rule, Variable
-from .terms import Atom, Compartment, Term, _canonical, bag_total
+from .terms import Atom, Compartment, Term, _merged, bag_total
 
 # Labeled values are plain sorted tuples:
 #   atom        ("a", name, label)
@@ -189,7 +189,7 @@ def oracle_outcomes(rule: Rule, content: Term) -> list:
         raise OracleLimitError(f"state has more than {ATOM_BOUND} atom occurrences")
     if content.depth > DEPTH_BOUND:
         raise OracleLimitError(f"state is nested deeper than {DEPTH_BOUND}")
-    return list(_canonical(
+    return list(_merged((), [
         (erase(_labeled_subst(rule.rhs, dict(sigma_items))), 1)
         for sigma_items in distinct_substitutions(rule, complete_labeling(content))
-    ))
+    ]))

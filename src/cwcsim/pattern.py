@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import CwcError
 from .terms import (
-    EMPTY, Atom, AtomBag, Compartment, Term, _bag_spliced, _canonical, _checked, atom_bag,
+    EMPTY, Atom, AtomBag, Compartment, Term, _checked, _merged, _spliced, atom_bag,
 )
 
 TERM = "term"
@@ -73,7 +73,7 @@ class OpenCompartment:
 
     def __init__(self, wrap_atoms, wrap_vars, content: "OpenTerm"):
         self.wrap_atoms = atom_bag(wrap_atoms)
-        self.wrap_vars = _canonical(_checked(wrap_vars, Variable, "wrap variable expected"))
+        self.wrap_vars = _merged((), _checked(wrap_vars, Variable, "wrap variable expected"))
         if not isinstance(content, OpenTerm):
             raise TypeError("open compartment content must be an OpenTerm")
         self.content = content
@@ -111,10 +111,10 @@ class OpenTerm:
 
     def __init__(self, elements: Iterable = ()):
         what = "open term element expected"
-        self.items = items = _canonical(
-            _checked(elements, (Atom, Variable, OpenCompartment), what)
-        )
-        self._key = tuple((el._key, n) for el, n in items)
+        items, keys = [], []
+        _spliced(items, keys, _checked(elements, (Atom, Variable, OpenCompartment), what))
+        self.items = items = tuple(items)
+        self._key = tuple(keys)
         self._hash = hash(self._key)
         self.is_ground = all(
             type(el) is Atom or (type(el) is OpenCompartment and el.is_ground)
@@ -210,7 +210,7 @@ def _instantiated(items: tuple, subst: Mapping) -> list:
                     )
                 wrap.extend((a, m * k) for a, m in value)
             content = apply_subst(el.content, subst)
-            out.append((Compartment._of(_bag_spliced(el.wrap_atoms, wrap), content), n))
+            out.append((Compartment._of(_merged(el.wrap_atoms, wrap), content), n))
     return out
 
 
@@ -307,8 +307,10 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
     pattern, at any depth of either side, carries it (Rule).
     """
     issues: list = []
-    occurrences = _occurrences(lhs, issues, "left-hand side")
-    rhs_occurrences = _occurrences(rhs, issues, "right-hand side")
+    # the key of every right-hand-side compartment -> the pattern it carries
+    carried: dict = {}
+    occurrences = _occurrences(lhs, issues, "left-hand side", {})
+    rhs_occurrences = _occurrences(rhs, issues, "right-hand side", carried)
     for v, n in occurrences.items():
         if n > 1:
             issues.append(
@@ -319,8 +321,6 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
                 )
             )
 
-    # the key of every right-hand-side compartment -> the pattern it carries
-    carried = dict.fromkeys(_compartment_keys(rhs))
     level = _compile_level(lhs, issues, "top level", carried)
     if level is not None and not (level.atoms or level.grounds or level.slots):
         issues.append(
@@ -348,10 +348,11 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
                 splice_residue=splice_residue)
 
 
-def _occurrences(o: OpenTerm, issues: list, side: str, copies: int = 1, acc=None) -> dict:
+def _occurrences(o: OpenTerm, issues: list, side: str, keys: dict, copies=1, acc=None) -> dict:
     """Each variable's occurrences in o, inside a compartment pattern once
     per copy of it; reports every variable of the wrong kind for its
-    position (content or wrap) to issues."""
+    position (content or wrap) to issues, and puts the key of every
+    compartment of o, at any depth, in keys."""
     acc = {} if acc is None else acc
     for el, n in o.items:
         n *= copies
@@ -366,6 +367,7 @@ def _occurrences(o: OpenTerm, issues: list, side: str, copies: int = 1, acc=None
                     )
                 )
         elif type(el) is OpenCompartment:
+            keys[el._key] = None
             for v, k in el.wrap_vars:
                 acc[v] = acc.get(v, 0) + k * n
                 if v.kind != WRAP:
@@ -376,18 +378,8 @@ def _occurrences(o: OpenTerm, issues: list, side: str, copies: int = 1, acc=None
                             v,
                         )
                     )
-            _occurrences(el.content, issues, side, n, acc)
+            _occurrences(el.content, issues, side, keys, n, acc)
     return acc
-
-
-def _compartment_keys(o: OpenTerm) -> set:
-    """The key of every compartment of o, at any depth."""
-    keys = set()
-    for el, _ in o.items:
-        if type(el) is OpenCompartment:
-            keys.add(el._key)
-            keys |= _compartment_keys(el.content)
-    return keys
 
 
 def _carrying(o: OpenTerm, carried: dict) -> OpenTerm:

@@ -6,17 +6,16 @@ content is again a term.  Terms are kept in a canonical counted-sorted form
 (atoms before compartments, atoms by name, compartments by wrap then content)
 so that structural congruence coincides with plain equality.
 
-Every multiset here and in ``pattern`` gets that form from one of two
-functions.  ``_canonical`` sorts unsorted input: what the public
-constructors of terms, wraps, open terms and wrap variable bags take,
-checked once with ``_checked`` first, and the outcome lists of
-matching.outcome_terms and the oracle.  ``_spliced`` edits a level already
-canonical, inserting and removing a few pairs by bisect on its keys: every
-subtraction, union and bag difference, every level apply_subst
-instantiates and every level replace_at rewrites, so an event never sorts
-a level again.  A spliced term (Term._spliced) takes its key, size, depth
-and atom flag from its base's and the changed pairs', so building it costs
-no Python pass over the level either.
+Every multiset here and in ``pattern`` gets that form from one merge,
+``_spliced``, which inserts and removes (element, count) pairs by bisect
+on the elements' keys: the public constructors of terms, wraps, open terms
+and wrap variable bags, checked once with ``_checked`` first, splice their
+pairs into the empty level, and every subtraction, union and bag
+difference, every level apply_subst instantiates, every level replace_at
+rewrites and the outcome lists of matching.outcome_terms and the oracle
+are spliced too.  A spliced term (Term._spliced) takes its key, size,
+depth and atom flag from its base's and the changed pairs', so building
+it costs no Python pass over the level.
 """
 from __future__ import annotations
 
@@ -62,31 +61,18 @@ AtomBag = tuple
 
 def _checked(items: Iterable, kinds, what: str) -> list:
     """(element, count) pairs from elements or pairs, with types and counts
-    checked; the validation shared by every public multiset constructor."""
+    checked and zero counts dropped; the validation shared by every public
+    multiset constructor.  A count is an int, not a bool."""
     pairs = []
     for it in items:
         el, n = it if isinstance(it, tuple) else (it, 1)
         if not isinstance(el, kinds):
             raise TypeError(f"{what}, got {el!r}")
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or type(n) is bool or n < 0:
             raise ValueError(f"multiplicity must be a nonnegative int, got {n!r}")
-        pairs.append((el, n))
-    return pairs
-
-
-def _element_key(pair) -> tuple:
-    return pair[0]._key
-
-
-def _canonical(pairs: Iterable) -> tuple:
-    """The canonical form of unsorted pairs: counts of equal elements
-    merged, zero counts dropped, pairs sorted by ``_key``."""
-    merged: dict = {}
-    for el, n in pairs:
         if n:
-            got = merged.get(el)
-            merged[el] = (el, got[1] + n) if got else (el, n)
-    return tuple(sorted(merged.values(), key=_element_key))
+            pairs.append((el, n))
+    return pairs
 
 
 def _spliced(items: list, keys: list, inserted=(), removed=()) -> list:
@@ -94,8 +80,10 @@ def _spliced(items: list, keys: list, inserted=(), removed=()) -> list:
     place: the (element, count) pairs of inserted added, then those of
     removed taken out, each found by bisect on keys.  An inserted element
     equal to one already there adds to its count and the object there
-    stays; a removed pair that is not contained raises ValueError.  Returns
-    the elements removed entirely.  The one edit of a canonical level."""
+    stays, so of equal inserted elements the first is kept; a removed pair
+    that is not contained raises ValueError.  Returns the elements removed
+    entirely.  The one merge of (element, count) pairs: from empty lists it
+    builds the canonical form of unsorted pairs with positive counts."""
     for el, n in inserted:
         key = el._key
         i = bisect_left(keys, (key,))
@@ -120,16 +108,17 @@ def _spliced(items: list, keys: list, inserted=(), removed=()) -> list:
     return gone
 
 
-def _bag_spliced(bag: AtomBag, inserted=(), removed=()) -> AtomBag:
-    """An atom bag edited by _spliced."""
-    items = list(bag)
-    _spliced(items, [(a._key, n) for a, n in bag], inserted, removed)
+def _merged(pairs: tuple, inserted=(), removed=()) -> tuple:
+    """Canonical pairs, such as an atom bag, edited by _spliced; from () it
+    is the canonical form of inserted."""
+    items = list(pairs)
+    _spliced(items, [(el._key, n) for el, n in pairs], inserted, removed)
     return tuple(items)
 
 
 def atom_bag(items: Iterable) -> AtomBag:
     """Build a canonical atom multiset from atoms or (atom, count) pairs."""
-    return _canonical(_checked(items, Atom, "atom bag element must be Atom"))
+    return _merged((), _checked(items, Atom, "atom bag element must be Atom"))
 
 
 def bag_count(bag: AtomBag, atom: Atom) -> int:
@@ -149,7 +138,7 @@ def bag_contains(sub: AtomBag, sup: AtomBag) -> bool:
 
 def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
     """Multiset difference sup - sub; sub must be contained in sup."""
-    return _bag_spliced(sup, (), sub)
+    return _merged(sup, (), sub)
 
 
 class Compartment:
@@ -199,25 +188,17 @@ class Term:
 
     ``items`` is a tuple of (element, count) pairs sorted by the elements'
     canonical keys with every count positive, so structurally congruent terms
-    are equal and hash alike.
+    are equal and hash alike.  Term(elements) checks its elements, merges
+    them by _spliced and reads its key, size, depth and atom flag in a full
+    pass over the merged items; Term._spliced builds every other term, and
+    the tests hold it to that pass.
     """
 
     __slots__ = ("items", "_key", "_hash", "size", "depth", "has_atoms", "__weakref__")
 
     def __init__(self, elements: Iterable = ()):
         what = "term element must be Atom or Compartment"
-        self._fill(_canonical(_checked(elements, (Atom, Compartment), what)))
-
-    @classmethod
-    def _of(cls, items: tuple) -> "Term":
-        """A term from items already in canonical form; nothing is checked
-        or sorted again."""
-        t = object.__new__(cls)
-        t._fill(items)
-        return t
-
-    def _fill(self, items: tuple):
-        self.items = items
+        self.items = items = _merged((), _checked(elements, (Atom, Compartment), what))
         self._key = tuple([(el._key, n) for el, n in items])
         self._hash = hash(self._key)
         size = depth = 0
@@ -360,7 +341,7 @@ def _unflatten(flat: tuple) -> Term:
     its equal subterms with every other one alive in the process."""
     built = []
     for items in flat:
-        built.append(shared(Term._of(tuple(
+        built.append(shared(Term._spliced(EMPTY, tuple(
             (el if type(el) is Atom else shared(Compartment._of(el[0], built[el[1]])), n)
             for el, n in items
         ))))
@@ -396,7 +377,7 @@ def shared(t):
                 (shared(el) if type(el) is Compartment else el, n) for el, n in t.items
             )
             if any(a is not b for (a, _), (b, _) in zip(items, t.items)):
-                t = Term._of(items)
+                t = Term._spliced(EMPTY, items)
         got = _SHARED.setdefault(t._key, t)
     return got
 

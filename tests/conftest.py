@@ -51,6 +51,18 @@ def gen_term(rng: random.Random, depth: int = 2, atom_budget: int = 8) -> Term:
     return Term(elements)
 
 
+def canonical(pairs) -> tuple:
+    """The canonical form of (element, count) pairs by a plain merge, the
+    reference for terms' splice: zero counts skipped, counts of equal
+    elements summed, elements summed to zero dropped and pairs sorted by
+    _key, the first of equal elements kept."""
+    counts: dict = {}
+    for el, n in pairs:
+        if n:
+            counts[el] = counts.get(el, 0) + n
+    return tuple(sorted(((el, n) for el, n in counts.items() if n), key=lambda p: p[0]._key))
+
+
 def resolve(t: Term, path) -> Term:
     """The content path addresses in t (() is t), each step checked as
     replace_at checks it."""

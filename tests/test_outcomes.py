@@ -26,8 +26,8 @@ from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import Outcome, level_matches, level_outcomes, outcome_terms
 from cwcsim.pattern import OpenCompartment, OpenTerm, Variable, apply_subst, validate_rule
 from cwcsim.rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num, rate_of
-from cwcsim.terms import Atom, Compartment, _canonical, replace_at
-from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels
+from cwcsim.terms import Atom, Compartment, replace_at
+from tests.conftest import canonical, gen_rule, gen_term, instantiate_lhs, levels
 
 A, B = Atom("a"), Atom("b")
 LAWS = (
@@ -267,7 +267,8 @@ def test_iterating_a_store_twice_builds_nothing_new(monkeypatch):
 
 
 def canonical_instance(o, subst: dict) -> Term:
-    """o instantiated with every level merged and sorted by _canonical."""
+    """o instantiated with every level merged and sorted by conftest's
+    reference merge."""
     out = []
     for el, n in o.items:
         if type(el) is Atom:
@@ -277,8 +278,8 @@ def canonical_instance(o, subst: dict) -> Term:
         else:
             wrap = list(el.wrap_atoms)
             wrap.extend((a, m * k) for v, k in el.wrap_vars for a, m in subst[v])
-            out.append((Compartment._of(_canonical(wrap), canonical_instance(el.content, subst)), n))
-    return Term._of(_canonical(out))
+            out.append((Compartment._of(canonical(wrap), canonical_instance(el.content, subst)), n))
+    return Term(canonical(out))
 
 
 FALLBACKS = [
@@ -290,8 +291,8 @@ FALLBACKS = [
 
 
 def test_spliced_outcomes_equal_merged_and_sorted_ones(rng):
-    """Every outcome equals the whole right-hand side instantiated by
-    _canonical, the residue bound to content - consumed; a spliced top
+    """Every outcome equals the whole right-hand side instantiated by a
+    plain merge, the residue bound to content - consumed; a spliced top
     level keeps content's object for every element equal to one of it."""
     cases = [(gen_rule(rng, f"r{i}"), None) for i in range(300)]
     cases += [(parse_rule(text), "b c c (m | a d) (m | a a d) (k | a)") for text in FALLBACKS]

@@ -30,7 +30,7 @@ from cwcsim.terms import (
     _flatten,
     _spliced,
 )
-from tests.conftest import ATOM_NAMES, gen_term, levels, occurrences, resolve
+from tests.conftest import ATOM_NAMES, canonical, gen_term, levels, occurrences, resolve
 
 atoms = st.sampled_from("a b c d".split()).map(Atom)
 bags = st.lists(atoms, max_size=3).map(atom_bag)
@@ -61,6 +61,55 @@ def test_counts_merge_on_construction():
     a, b = Atom("a"), Atom("b")
     assert Term([(a, 1), b, (a, 2)]) == parse_term("a a a b")
     assert Term([(a, 0)]) == EMPTY
+
+
+def test_a_bool_count_is_rejected():
+    a = Atom("a")
+    for make in (Term, atom_bag, OpenTerm, lambda w: Compartment(w, EMPTY)):
+        with pytest.raises(ValueError):
+            make([(a, True)])
+    with pytest.raises(ValueError):
+        OpenCompartment((), [(wrap_var("x"), False)], OpenTerm())
+
+
+def _pairs(items) -> list:
+    return [it if isinstance(it, tuple) else (it, 1) for it in items]
+
+
+def _counted(elements):
+    """Elements, or (element, count) pairs with zero counts, in any order."""
+    return st.lists(st.one_of(elements, st.tuples(elements, st.integers(0, 3))), max_size=8)
+
+
+open_simples = st.one_of(
+    atoms,
+    st.sampled_from("XYZ").map(term_var),
+    st.builds(lambda wrap, ws, t: OpenCompartment(wrap, ws, _open(t)),
+              bags, st.lists(st.sampled_from("xy").map(wrap_var), max_size=3), terms),
+)
+
+
+@settings(deadline=None)
+@given(_counted(simples), _counted(atoms), _counted(open_simples))
+def test_constructors_merge_unsorted_pairs_as_the_reference_does(elements, bag, open_elements):
+    def same(got, want):
+        assert got == want and all(a is b for (a, _), (b, _) in zip(got, want))
+
+    want = canonical(_pairs(elements))
+    t = Term(elements)
+    same(t.items, want)
+    assert t._key == tuple((el._key, n) for el, n in want) and hash(t) == hash(t._key)
+    assert t.size == sum(n * _size(el) for el, n in want)
+    assert t.depth == max((_depth(el) for el, _ in want), default=0)
+    assert t.has_atoms == any(_has_atoms(el) for el, _ in want)
+    same(atom_bag(bag), canonical(_pairs(bag)))
+    want = canonical(_pairs(open_elements))
+    o = OpenTerm(open_elements)
+    same(o.items, want)
+    assert o._key == tuple((el._key, n) for el, n in want) and hash(o) == hash(o._key)
+    for el, _ in want:
+        if type(el) is OpenCompartment:
+            assert el.wrap_vars == canonical(el.wrap_vars)
 
 
 def test_congruence_examples():
@@ -145,23 +194,14 @@ def test_replace_at_a_deep_path_is_fast():
     assert got.depth == MAX_DEPTH - 1 and resolve(got, path) == parse_term("b")
 
 
-def _merged(pairs) -> tuple:
-    """Pairs with counts of equal elements summed, zero counts dropped and
-    sorted by key, the first of equal elements kept."""
-    counts: dict = {}
-    for el, n in pairs:
-        counts[el] = counts.get(el, 0) + n
-    return tuple(sorted(((el, n) for el, n in counts.items() if n), key=lambda p: p[0]._key))
-
-
 @settings(deadline=None)
 @given(terms, st.lists(st.tuples(simples, st.integers(1, 3)), max_size=6), simples, st.data())
 def test_spliced_equals_a_merge_and_keeps_the_bases_objects(base, inserted, other, data):
-    grown = _merged(base.items + tuple(inserted))
+    grown = canonical(base.items + tuple(inserted))
     removed = [(el, data.draw(st.integers(1, n))) for el, n in grown if data.draw(st.booleans())]
     items, keys = list(base.items), list(base._key)
     gone = _spliced(items, keys, inserted, removed)
-    assert tuple(items) == _merged(grown + tuple((el, -n) for el, n in removed))
+    assert tuple(items) == canonical(grown + tuple((el, -n) for el, n in removed))
     assert keys == [(el._key, n) for el, n in items]
     assert set(gone) == {el for el, _ in grown} - {el for el, _ in items}
     mine = {el: el for el, _ in base.items}
@@ -181,10 +221,10 @@ def test_a_spliced_term_equals_one_built_from_its_pairs(base, inserted, data):
     start = list(base.items)
     if taken is not None:
         start[taken] = (start[taken][0], start[taken][1] - 1)
-    grown = _merged(tuple(start) + tuple(inserted))
+    grown = canonical(tuple(start) + tuple(inserted))
     removed = [(el, data.draw(st.integers(1, n))) for el, n in grown if data.draw(st.booleans())]
     got = Term._spliced(base, inserted, removed, taken)
-    want = Term(_merged(grown + tuple((el, -n) for el, n in removed)))
+    want = Term(canonical(grown + tuple((el, -n) for el, n in removed)))
     _same(got, want)
     assert got._key == want._key
     mine = {el: el for el, n in start if n}
