@@ -52,14 +52,13 @@ exactly one rules tuple.  It keeps nodes keyed by level content, and the
 rows of every top-level slot on one compartment element keyed by the
 element; nested slot levels are computed inside an index miss and not
 kept.  A root that keeps a _Level goes in only when it recurs, since most
-crowd states are met once: its first visit leaves a mark (Memo.admit), and
-its node goes in when the chain reaches the content again, or when an
-event undoes the one before it and the store's back root, the root before
-its own, is reused.  Every other node goes in when it is built.  An entry
-weighs the size its key's content or element caches, times the rules'
-top-level slot count for an element, and a mark MARK; MEMO_BUDGET bounds
-the summed weight over two generations, so a diverging run keeps a bounded
-memo.  Eviction is safe: a store holds its nodes directly, every node its
+crowd states are met once: the memo's ring (Memo.recent) holds the
+chain's last RECENT such roots, and one the chain reaches again is reused
+from there and goes in.  Every other node goes in when it is built.  An
+entry weighs the size its key's content or element caches, times the
+rules' top-level slot count for an element; MEMO_BUDGET bounds the summed
+weight over two generations, so a diverging run keeps a bounded memo.
+Eviction is safe: a store holds its nodes directly, every node its
 children and Outcomes, a root its _Level, and an evicted entry is rebuilt
 equal from its key alone.  A run's memo is not shared across replicates,
 because a shared memo cost more in memory and garbage collection than its
@@ -203,19 +202,17 @@ class _Node:
         self.level = level
 
 
-# The summed weight one store chain's Memo may keep.  On 10,000-event 16- and
-# 64-cell pho runs and a 3,000-event 64-cell macrophage crowd, with crowd
-# roots kept only when they recur: a quarter of it re-rates recurring
-# states, 10-19% slower per event, and two to four times it is 2-4% faster
-# for 0.5-1.5 MB more peak RSS.
+# The summed weight one store chain's Memo may keep.  Twice it builds 1-3%
+# fewer nodes on 10,000-event 16- and 64-cell pho runs and 13% fewer crowd
+# roots on a 3,000-event 64-cell macrophage crowd, for 0.7 MB more peak RSS
+# on a 60,000-event 64-cell pho run.  Half it saves no RSS there, and 4
+# one-cell pho runs (131,875 events) build 16% more roots, 8% slower.
 MEMO_BUDGET = 250_000
 
-# The weight of a mark (Memo.admit).  A mark takes about 84 bytes, a unit of
-# weight 3 when every root was kept and about 15 in a root kept because it
-# recurred, which holds the outcomes its visits built.  At this weight the
-# memo of a 60,000-event 64-cell pho run peaks at 0.63 MB, against 0.84 MB
-# when every root was kept and 0.91 MB at half this weight.
-MARK = 256
+# The crowd roots one store chain keeps in its ring (Memo.recent).  Twice it
+# rebuilds no fewer roots on 200 runs of bundled macrophage.cwc and 2% fewer
+# on 2,000 events of a 64-cell macrophage crowd; half it, 1% and 3% more.
+RECENT = 8
 
 
 class Memo:
@@ -224,14 +221,17 @@ class Memo:
     rules tuple, bounded by one budget on their summed weight.  width is
     the rules' top-level slot count, the row sets of an index entry.  An
     entry weighs the size its key's content or element caches, times width
-    for an element (_weight).  Two generations: an entry goes into the
+    for an element and for a crowd root, whose _Level holds the index entry
+    of every class it has (_weight).  Two generations: an entry goes into the
     young one, which becomes the old one, dropping the previous old one,
     when it would pass half the budget; a hit in the old generation moves
     the entry back into the young one, and a key stored again replaces its
     entry and is weighed once.  An entry heavier than half the budget is
-    not kept.  A crowd root's first visit leaves only a mark (admit)."""
+    not kept.  recent, the ring, maps the contents of the chain's last
+    RECENT crowd roots, the roots that keep a _Level, to their nodes,
+    oldest first (incremental_retransitions); it weighs nothing."""
 
-    __slots__ = ("budget", "width", "young", "old", "young_weight", "old_weight")
+    __slots__ = ("budget", "width", "young", "old", "young_weight", "old_weight", "recent")
 
     def __init__(self, budget: int, width: int):
         self.budget = budget
@@ -239,6 +239,7 @@ class Memo:
         self.young: dict = {}
         self.old: dict = {}
         self.young_weight = self.old_weight = 0
+        self.recent: dict = {}
 
     @property
     def weight(self) -> int:
@@ -249,12 +250,12 @@ class Memo:
         if value is None:
             value = self.old.pop(key, None)
             if value is not None:
-                self.old_weight -= self._weight(key)
+                self.old_weight -= self._weight(key, value)
                 self[key] = value
         return value
 
     def __setitem__(self, key, value):
-        w = self._weight(key)
+        w = self._weight(key, value)
         half = self.budget // 2
         if w > half:
             return
@@ -268,29 +269,10 @@ class Memo:
         self.young[key] = value
         self.young_weight += w
 
-    def admit(self, key, node, again: bool = False):
-        """Store node under key if key recurs: again says it does, or the
-        mark of key is held, which goes.  Else leave that mark: key's hash
-        with no value but True, of weight MARK, which keeps neither node nor
-        key alive and ages out with its generation.  No lookup of a term
-        equals a mark.  A key whose hash collides with a marked one is kept
-        one visit early, which costs memory only."""
-        mark = hash(key)
-        if self.young.pop(mark, None) is not None:
-            self.young_weight -= MARK
-            again = True
-        elif self.old.pop(mark, None) is not None:
-            self.old_weight -= MARK
-            again = True
-        if again:
-            self[key] = node
-        else:
-            self[mark] = True
-
-    def _weight(self, key) -> int:
-        if type(key) is Term:
+    def _weight(self, key, value) -> int:
+        if type(key) is Term and value.level is None:
             return key.size
-        return MARK if type(key) is int else key.size * self.width
+        return key.size * self.width
 
 
 class _Level:
@@ -400,9 +382,10 @@ def _node(content: Term, rules: tuple, memo, path: Path, base=_EMPTY) -> _Node:
     (matching.counted_matches) or enumerated, and rated, in rule order; a
     rule no class or atom enables counts to [] from the sums or its atoms.
     A root of at least DERIVE_FROM classes keeps its _Level and goes into
-    the memo on its second visit (Memo.admit); every other node on its
-    first.  A node holds its children directly, so evicting a node from the
-    memo never invalidates its parents."""
+    the ring (Memo.recent), and into the memo only when it recurs
+    (incremental_retransitions); every other node goes into the memo.  A
+    node holds its children directly, so evicting a node from the memo
+    never invalidates its parents."""
     node = memo.get(content)
     if node is not None:
         return node
@@ -449,7 +432,10 @@ def _node(content: Term, rules: tuple, memo, path: Path, base=_EMPTY) -> _Node:
     if level is None:
         memo[content] = node
     else:
-        memo.admit(content, node)
+        recent = memo.recent
+        recent[content] = node
+        if len(recent) > RECENT:
+            del recent[next(iter(recent))]
     return node
 
 
@@ -460,17 +446,15 @@ class TransitionStore:
     index entries; its successors (incremental_retransitions) inherit both,
     so a memo serves exactly one rules tuple.  len() counts the
     transitions, one per match class of a counted entry, and total sums
-    their rates.  back is the root before this store's when that root keeps
-    a _Level, else None.  Iteration yields them in canonical pre-order from
+    their rates.  Iteration yields them in canonical pre-order from
     a list built once and kept, so one store always yields the same
     objects."""
 
-    __slots__ = ("rules", "memo", "root", "back", "total", "_list")
+    __slots__ = ("rules", "memo", "root", "total", "_list")
 
     def __init__(self, state: Term, rules):
         self.rules = tuple(rules)
         self.memo = Memo(MEMO_BUDGET, sum(len(rule.lhs.slots) for rule in self.rules))
-        self.back = None
         self._rooted(_node(state, self.rules, self.memo, ()))
 
     def _rooted(self, root: _Node) -> "TransitionStore":
@@ -547,21 +531,22 @@ def enumerate_transitions(state: Term, rules) -> list:
 
 def incremental_retransitions(prev: TransitionStore, next_state: Term) -> TransitionStore:
     """The store after one event, given the store before it, whose rules
-    and memo it inherits.  A root the memo holds is reused, and so is
-    prev's back root, the one before prev's, when the event undid the one
-    before it; that root then goes into the memo, as a recurring one.  A
-    missed root is derived from prev's root: only the compartment classes
-    the event changed are looked up in the element index, tallied and
-    built, every other class keeps its subtree, and every rule is counted
-    and rated again on the new root (module docstring)."""
+    and memo it inherits.  A root in the memo's ring of recent crowd roots
+    (Memo.recent) is reused, moves to the newest place and goes into the
+    memo, as a recurring one; a root the memo holds is reused.  A missed
+    root is derived from prev's root: only the compartment classes the
+    event changed are looked up in the element index, tallied and built,
+    every other class keeps its subtree, and every rule is counted and
+    rated again on the new root (module docstring)."""
+    memo = prev.memo
     store = object.__new__(TransitionStore)
-    store.rules, store.memo = prev.rules, prev.memo
-    back, base = prev.back, prev.root
-    store.back = base if base.level is not None else None
-    if back is not None and back.level.content == next_state:  # the event undid the last
-        store.memo.admit(next_state, back, True)
-        return store._rooted(back)
-    return store._rooted(_node(next_state, store.rules, store.memo, (), base))
+    store.rules, store.memo = prev.rules, memo
+    root = memo.recent.pop(next_state, None)
+    if root is None:
+        return store._rooted(_node(next_state, store.rules, memo, (), prev.root))
+    content = root.level.content  # a recent crowd root recurs
+    memo.recent[content] = memo[content] = root
+    return store._rooted(root)
 
 
 def step(state: Term, transitions: TransitionStore, rng: Random):

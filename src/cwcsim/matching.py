@@ -86,9 +86,9 @@ def level_matches(lp: LevelPattern, content: Term, slots=None) -> list:
     count)]: consumed lists the (element, count) pairs the match removes from
     content, in content order.  lp's own residue is left unbound; each slot
     level inside binds its residue to what its match leaves there.  slots
-    gives, per slot of lp, its candidates (index, copies, rows, weight) in
-    content order, as slot_candidates lists them; only index and rows are
-    read.  Without slots they are computed with _rows."""
+    gives, per slot of lp, its candidates (index, rows) in content order,
+    as slot_candidates lists them; without slots they are computed with
+    _rows."""
     factor = _atom_factor(lp.atoms, content)
     if not factor:
         return []
@@ -101,17 +101,14 @@ def level_matches(lp: LevelPattern, content: Term, slots=None) -> list:
         ground_need[idx] = ground_need.get(idx, 0) + j
 
     if slots is None:
-        slots = [
-            [(idx, None, _rows(slot, el), None)
-             for idx, el, cnt in content.compartments() if ground_need.get(idx, 0) < cnt]
-            for slot in lp.slots
-        ]
+        slots = [[(idx, _rows(slot, el)) for idx, el, _ in content.compartments()]
+                 for slot in lp.slots]
     # Per slot, every (index, bindings, count, labelful) it can take.
     candidates = []
     for cands in slots:
         found = [
             (idx,) + row
-            for idx, _, rows, _ in cands
+            for idx, rows in cands
             if ground_need.get(idx, 0) < content.items[idx][1]
             for row in rows
         ]
@@ -215,19 +212,15 @@ def _element_rows(rules: tuple, el, memo) -> tuple:
 
 
 def slot_candidates(content: Term, tables, i: int, k: int) -> list:
-    """Per slot s < k of rules[i], its candidates (index, copies, rows,
-    weight) in content order, read off tables, which maps every compartment
-    class of content to its element index entry (_element_rows).  copies is
-    the class's copy count when it carries atoms and 1 otherwise, the
-    factor a slot taking one copy contributes (module docstring), and
-    weight is copies times the summed row count.  Grounds are not
+    """Per slot s < k of rules[i], its candidates (index, rows) in content
+    order, read off tables, which maps every compartment class of content
+    to its element index entry (_element_rows).  Grounds are not
     applied."""
     found = [[] for _ in range(k)]
-    for idx, el, cnt in content.compartments():
-        copies = cnt if el.has_atoms else 1
-        for (r, s), rows, summed in tables[el]:
+    for idx, el, _ in content.compartments():
+        for (r, s), rows, _ in tables[el]:
             if r == i:
-                found[s].append((idx, copies, rows, copies * summed))
+                found[s].append((idx, rows))
     return found
 
 

@@ -119,20 +119,18 @@ def test_mixed_rules_derive_roots_equal_to_fresh_ones():
     assert fired >= {"grow", "shed", "fuse", "pair", "load", "free", "split", "gain"}
 
 
-def held(memo, content):
-    """"node" when memo keeps content's node, "mark" when it keeps only the
-    mark of a root seen once, else None."""
-    entries = {**memo.old, **memo.young}
-    if content in entries:
-        return "node"
-    return "mark" if entries.get(hash(content)) is True else None
+def held(memo, content) -> bool:
+    """Whether memo keeps content's node."""
+    return content in memo.young or content in memo.old
 
 
-def test_a_recurring_crowd_root_is_marked_then_kept():
-    # a root of a few classes or more leaves a mark on its first visit and
-    # is kept on its second: a return to the state before the previous one
-    # reuses that store's root (A B A), a longer cycle (C D E F C D) finds
-    # the mark and keeps the root it builds again; each equals a fresh node
+def test_a_recurring_crowd_root_is_reused_from_the_ring(monkeypatch):
+    # a root of a few classes or more goes into the chain's ring of recent
+    # roots when it is built; a return to it while it is still there (A B
+    # A, or the cycle C D E F C D) reuses that root, which then goes into
+    # the memo, and every root equals a fresh node.  A ring of 4, the
+    # shortest that holds the cycle, also drops its oldest roots on the way
+    monkeypatch.setattr(engine, "RECENT", 4)
     states = [parse_term(s) for s in (
         "a*6 b*3 (m | a) (m | b) (n | a) (k | *)",  # A
         "a*5 b*3 (m | a a) (m | b) (n | a) (k | *)",  # B: grow
@@ -151,22 +149,20 @@ def test_a_recurring_crowd_root_is_marked_then_kept():
     for state in states[1:]:
         assert state in {replace_at(store.root.level.content, t.path, t.outcome_local)
                          for t in store}  # an event of the rules
-        first = state not in roots
-        assert held(store.memo, state) == (None if first else "mark")
-        derived = incremental_retransitions(store, state)
+        again = state in roots
+        assert not held(store.memo, state)  # a crowd root is kept once it recurs
+        store = incremental_retransitions(store, state)
         fresh = TransitionStore(state, rules)
-        assert_same_node(derived.root, fresh.root)
-        assert list(derived) == list(fresh)
-        if first:
-            assert held(store.memo, state) == "mark"
-            roots[state] = derived.root
-        else:
-            assert held(store.memo, state) == "node"
-            assert store.memo.get(state) is derived.root
-        store = derived
-    a, b = states[0], states[1]
-    assert roots[a] is store.memo.get(a)  # A's first root, reused
-    assert held(store.memo, b) == "mark"  # B came once
+        assert_same_node(store.root, fresh.root)
+        assert list(store) == list(fresh)
+        assert roots.setdefault(state, store.root) is store.root  # its first build
+        assert held(store.memo, state) == again
+        assert list(store.memo.recent)[-1] == state  # the newest
+        assert len(store.memo.recent) <= engine.RECENT
+    a, b, c, d, e, f = states[0], states[1], *states[3:7]
+    assert list(store.memo.recent) == [e, f, c, d]  # A and B dropped, oldest first
+    assert all(held(store.memo, s) for s in (a, c, d))  # reused
+    assert not any(held(store.memo, s) for s in (b, e, f))  # met once
 
 
 # rules that only an atom or an uncounted copy enables: make needs c, which

@@ -54,15 +54,19 @@ def counting(monkeypatch):
 def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, counting):
     # 16 pho cells soon differ from each other, so almost every state and
     # cell content the run meets is new: before the bound, every one stayed
-    # in the node cache
+    # in the node cache.  Crowd roots enter the memo only when they recur,
+    # so at the default budget this run turns the memo over only twice; at
+    # 50,000, about 20 times
     model = bundled("pho.cwc", "Pi*320 " + " ".join([PHO_CELL] * 16))
+    monkeypatch.setattr(engine, "MEMO_BUDGET", 50_000)
     seen = []
     rebuild = engine.incremental_retransitions
 
     def checked(prev, next_state):
         memo = prev.memo
         assert memo.weight <= memo.budget == engine.MEMO_BUDGET
-        assert memo.weight == sum(memo._weight(k) for k in (*memo.young, *memo.old))
+        entries = (*memo.young.items(), *memo.old.items())
+        assert memo.weight == sum(memo._weight(k, v) for k, v in entries)
         seen.append(memo.weight)
         return rebuild(prev, next_state)
 
@@ -77,13 +81,13 @@ def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, cou
 def test_a_one_cell_root_is_kept_on_its_first_visit():
     # a root of fewer than DERIVE_FROM compartment classes keeps no _Level
     # and goes into the memo when it is first built, as every nested level
-    # does: only crowd roots leave a mark first
+    # does: only crowd roots wait in the ring (Memo.recent) until they recur
     model = bundled("pho.cwc", "Pi*20 " + PHO_CELL)
     store, state = TransitionStore(model.init, model.rules), model.init
     for _ in range(30):
         entries = {**store.memo.old, **store.memo.young}
         assert store.root.level is None and entries[state] is store.root
-        assert not any(type(k) is int for k in entries)  # no mark
+        assert not store.memo.recent
         chosen = next(iter(store))
         state = replace_at(state, chosen.path, chosen.outcome_local)
         store = incremental_retransitions(store, state)
