@@ -484,6 +484,8 @@ class _ModelBuilder:
         name = p.atom_name("an observable name")
         if name.text in self.obs_names:
             p.note(name, f"duplicate observable name '{name.text}'")
+        elif name.text == "time":  # the CSVs' first column
+            p.note(name, "observable name 'time' clashes with the time column")
         self.obs_names[name.text] = name
         p.expect(":", "':' after the observable name")
         atom = Atom(p.atom_name().text)
@@ -605,16 +607,3 @@ def format_path(path) -> str:
     if not path:
         return "top"
     return "/".join(str(i) for i, _ in path)
-
-
-def format_rate(spec) -> str:
-    if isinstance(spec, MassAction):
-        return repr(spec.k)
-    return str(spec)
-
-
-def format_rule(rule) -> str:
-    return (
-        f"rule {rule.id}: {format_term(rule.lhs_open)} -> "
-        f"{format_term(rule.rhs)} @ {format_rate(rule.rate)}"
-    )

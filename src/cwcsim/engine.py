@@ -241,10 +241,6 @@ class Memo:
         self.young_weight = self.old_weight = 0
         self.recent: dict = {}
 
-    @property
-    def weight(self) -> int:
-        return self.young_weight + self.old_weight
-
     def get(self, key):
         value = self.young.get(key)
         if value is None:

@@ -28,10 +28,11 @@ never built; otherwise the residue is bound to content.subtract(consumed),
 itself one such call.  A spliced outcome shares content's objects: every
 element of it equal to one of content's is that object.  Each level of
 it keeps the key of the level it was spliced from, edited where it
-changed (Term._spliced).  A right-hand-side compartment equal to a
-compartment pattern of the left, such as a cell a rule moves unchanged,
-carries that pattern (Rule): the pattern's rows bind it to the element it
-took (_rows), and the outcome holds that element, not a copy built again.
+changed (Term._spliced).  Every compartment pattern, at every depth,
+binds the element it took under its own left-hand-side compartment
+(_rows).  A right-hand-side compartment equal to that pattern, such as a
+cell a rule moves unchanged, looks the element up there (apply_subst), so
+the outcome holds that element, not a copy built again.
 
 How matches become outcomes depends on the rate law.  Under an n-linear
 law (`rates` module docstring) the summed rate into each outcome does not
@@ -166,10 +167,9 @@ def _placed(atoms, content: Term, factor: int, ground_need: dict, placement) -> 
 def _rows(slot, el) -> list:
     """The rows of one compartment slot on one compartment element, as
     [(bindings, count, labelful)], computed; nested slot levels are
-    computed too and not kept.  A slot that a right-hand-side compartment
-    carries (CompartmentPattern.carry) binds it to el, and labelful reads
-    the variables' values only: a carried element holds no atom that they
-    do not."""
+    computed too and not kept.  Every row binds the slot's pattern
+    (CompartmentPattern.source) to el, and labelful reads the variables'
+    values only: a bound element holds no atom that they do not."""
     rows = []
     if bag_contains(slot.wrap_atoms, el.wrap):
         x_val = bag_diff(el.wrap, slot.wrap_atoms)
@@ -185,8 +185,7 @@ def _rows(slot, el) -> list:
                 v.has_atoms if type(v) is Term else type(v) is tuple and len(v) > 0
                 for v in bindings.values()
             )
-            if slot.carry is not None:
-                bindings[slot.carry] = el
+            bindings[slot.source] = el
             rows.append((bindings, wrap_choices * count, labelful))
     return rows
 

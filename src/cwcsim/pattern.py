@@ -62,14 +62,13 @@ class OpenCompartment:
     """A compartment that may carry variables on its wrap and in its content.
 
     Ground compartments inside open terms use this representation too (with
-    empty variable parts) so that open-term elements sort uniformly.
-    carried is set on a validated rule's right-hand side only, to the
-    left-hand-side compartment pattern equal to this compartment, under
-    which a match binds the element that pattern took (validate_rule);
-    otherwise it is None.
+    empty variable parts) so that open-term elements sort uniformly.  A
+    left-hand-side compartment pattern is also the key under which a match
+    binds the element it took (CompartmentPattern.source), and an equal
+    compartment of the right-hand side looks that element up by equality.
     """
 
-    __slots__ = ("wrap_atoms", "wrap_vars", "content", "_key", "_hash", "is_ground", "carried")
+    __slots__ = ("wrap_atoms", "wrap_vars", "content", "_key", "_hash", "is_ground")
 
     def __init__(self, wrap_atoms, wrap_vars, content: "OpenTerm"):
         self.wrap_atoms = atom_bag(wrap_atoms)
@@ -85,7 +84,6 @@ class OpenCompartment:
         )
         self._hash = hash(self._key)
         self.is_ground = not self.wrap_vars and content.is_ground
-        self.carried = None
 
     def __eq__(self, other):
         return self is other or (
@@ -173,10 +171,10 @@ def apply_subst(o: OpenTerm, subst: Mapping, consumed=()) -> Term:
     top level's value, is removed from it in the same splice, after the
     insertions, so an element both consumed and produced stays the value's
     object too (matching.Outcome).  Any other level starts from the empty
-    term, and a compartment's wrap from its wrap atoms.  A compartment that
-    carries a left-hand-side pattern (OpenCompartment.carried) is the
-    element subst binds that pattern to, when it binds it, and is not built
-    again: the rebuilt one would equal it."""
+    term, and a compartment's wrap from its wrap atoms.  A compartment equal
+    to a left-hand-side compartment pattern is the element subst binds that
+    pattern to (CompartmentPattern.source), when it binds it, and is not
+    built again: the rebuilt one would equal it."""
     v = o.splice
     if v is None:
         return Term._spliced(EMPTY, _instantiated(o.items, subst))
@@ -197,9 +195,9 @@ def _instantiated(items: tuple, subst: Mapping) -> list:
             for sub_el, k in _term_value(subst, el).items:
                 out.append((sub_el, k * n))
         else:
-            carried = subst.get(el.carried) if el.carried is not None else None
-            if carried is not None:
-                out.append((carried, n))
+            bound = subst.get(el)
+            if bound is not None:
+                out.append((bound, n))
                 continue
             wrap = []
             for v, k in el.wrap_vars:
@@ -234,14 +232,14 @@ def _lookup(subst: Mapping, v: Variable):
 class CompartmentPattern:
     """One non-ground compartment of a left-hand side: consumed wrap atoms, a
     wrap variable for the rest of the wrap, and a nested level pattern.
-    carry is the pattern's OpenCompartment when the right-hand side holds an
-    equal compartment, and a match then binds it to the element it took
-    (matching._rows); otherwise None."""
+    source is the left-hand side's OpenCompartment the pattern was compiled
+    from, under which every match binds the element it took
+    (matching._rows)."""
 
     wrap_atoms: AtomBag
     wrap_var: Variable
     content: "LevelPattern"
-    carry: Optional[OpenCompartment] = None
+    source: OpenCompartment
 
 
 @dataclass(frozen=True)
@@ -280,10 +278,12 @@ class Rule:
     rewrites the matched content to rhs instantiated with its bindings, the
     top residue variable bound to what the match leaves (matching.Outcome).
     splice_residue is set when rhs's top level splices that residue
-    (OpenTerm.splice) and it occurs nowhere else in rhs.  Every compartment
-    of rhs equal to a compartment pattern of lhs carries it
-    (OpenCompartment.carried): linearity brings back every part of the
-    element the pattern took unchanged, so the outcome holds that element.
+    (OpenTerm.splice) and it occurs nowhere else in rhs.  rhs is the
+    right-hand side as given.  A compartment of rhs equal to a compartment
+    pattern of lhs, at any depth of either side, is the element the pattern
+    took (apply_subst): patterns are linear, so each of its variables is
+    bound once, to that element's part, and the rebuilt compartment would
+    equal the element.
     """
 
     id: str
@@ -303,14 +303,11 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
     nonlinear-pattern, malformed-pattern, empty-pattern, unbound-variable.
     A variable is nonlinear when it occurs more than once on the left, a
     repeated compartment pattern counting its variables once per copy.
-    A right-hand-side compartment equal to a left-hand-side compartment
-    pattern, at any depth of either side, carries it (Rule).
+    The rule keeps rhs itself (Rule).
     """
     issues: list = []
-    # the key of every right-hand-side compartment -> the pattern it carries
-    carried: dict = {}
-    occurrences = _occurrences(lhs, issues, "left-hand side", {})
-    rhs_occurrences = _occurrences(rhs, issues, "right-hand side", carried)
+    occurrences = _occurrences(lhs, issues, "left-hand side")
+    rhs_occurrences = _occurrences(rhs, issues, "right-hand side")
     for v, n in occurrences.items():
         if n > 1:
             issues.append(
@@ -321,7 +318,7 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
                 )
             )
 
-    level = _compile_level(lhs, issues, "top level", carried)
+    level = _compile_level(lhs, issues, "top level")
     if level is not None and not (level.atoms or level.grounds or level.slots):
         issues.append(
             RuleIssue("empty-pattern", "left-hand side consumes nothing", None)
@@ -344,15 +341,14 @@ def validate_rule(lhs: OpenTerm, rhs: OpenTerm, *, rate=None, rule_id: str = "1"
 
         rate = MassAction(1.0)
     splice_residue = rhs.splice == level.residue and rhs_occurrences[level.residue] == 1
-    return Rule(id=rule_id, lhs=level, rhs=_carrying(rhs, carried), rate=rate, lhs_open=lhs,
+    return Rule(id=rule_id, lhs=level, rhs=rhs, rate=rate, lhs_open=lhs,
                 splice_residue=splice_residue)
 
 
-def _occurrences(o: OpenTerm, issues: list, side: str, keys: dict, copies=1, acc=None) -> dict:
+def _occurrences(o: OpenTerm, issues: list, side: str, copies=1, acc=None) -> dict:
     """Each variable's occurrences in o, inside a compartment pattern once
     per copy of it; reports every variable of the wrong kind for its
-    position (content or wrap) to issues, and puts the key of every
-    compartment of o, at any depth, in keys."""
+    position (content or wrap) to issues."""
     acc = {} if acc is None else acc
     for el, n in o.items:
         n *= copies
@@ -367,7 +363,6 @@ def _occurrences(o: OpenTerm, issues: list, side: str, keys: dict, copies=1, acc
                     )
                 )
         elif type(el) is OpenCompartment:
-            keys[el._key] = None
             for v, k in el.wrap_vars:
                 acc[v] = acc.get(v, 0) + k * n
                 if v.kind != WRAP:
@@ -378,29 +373,13 @@ def _occurrences(o: OpenTerm, issues: list, side: str, keys: dict, copies=1, acc
                             v,
                         )
                     )
-            _occurrences(el.content, issues, side, keys, n, acc)
+            _occurrences(el.content, issues, side, n, acc)
     return acc
 
 
-def _carrying(o: OpenTerm, carried: dict) -> OpenTerm:
-    """o with every compartment, at any depth, a copy that carries the
-    pattern carried maps its key to, if any."""
-    items = []
-    for el, n in o.items:
-        if type(el) is OpenCompartment:
-            pattern = carried.get(el._key)
-            content = el.content if pattern is not None else _carrying(el.content, carried)
-            el = OpenCompartment(el.wrap_atoms, el.wrap_vars, content)
-            el.carried = pattern
-        items.append((el, n))
-    return OpenTerm(items)
-
-
-def _compile_level(o: OpenTerm, issues: list, where: str,
-                   carried: dict) -> Optional[LevelPattern]:
-    """The LevelPattern of o, or None with the issues found added; a
-    compartment pattern whose key is in carried, the right-hand side's
-    compartment keys, carries itself and goes in carried under its key."""
+def _compile_level(o: OpenTerm, issues: list, where: str) -> Optional[LevelPattern]:
+    """The LevelPattern of o, or None with the issues found added; each
+    compartment pattern is compiled with its OpenCompartment as source."""
     atoms = []
     grounds = []
     slots = []
@@ -430,7 +409,7 @@ def _compile_level(o: OpenTerm, issues: list, where: str,
                     )
                 )
                 ok = False
-            inner = _compile_level(el.content, issues, f"compartment at {where}", carried)
+            inner = _compile_level(el.content, issues, f"compartment at {where}")
             if inner is None:
                 ok = False
             if n > 1:
@@ -438,12 +417,7 @@ def _compile_level(o: OpenTerm, issues: list, where: str,
                 # linearity check reports them, but keep compiling.
                 ok = False
             if ok and inner is not None:
-                carry = el if el._key in carried else None
-                if carry is not None:
-                    carried[el._key] = el
-                slots.append(
-                    CompartmentPattern(el.wrap_atoms, el.wrap_vars[0][0], inner, carry)
-                )
+                slots.append(CompartmentPattern(el.wrap_atoms, el.wrap_vars[0][0], inner, el))
     if residue_occurrences != 1:
         issues.append(
             RuleIssue(

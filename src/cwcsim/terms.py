@@ -10,7 +10,7 @@ Every multiset here and in ``pattern`` gets that form from one merge,
 ``_spliced``, which inserts and removes (element, count) pairs by bisect
 on the elements' keys: the public constructors of terms, wraps, open terms
 and wrap variable bags, checked once with ``_checked`` first, splice their
-pairs into the empty level, and every subtraction, union and bag
+pairs into the empty level, and every subtraction and bag
 difference, every level apply_subst instantiates, every level replace_at
 rewrites and the outcome lists of matching.outcome_terms and the oracle
 are spliced too.  A spliced term (Term._spliced) takes its key, size,
@@ -298,9 +298,6 @@ class Term:
         for i, (el, n) in enumerate(self.items):
             if type(el) is Compartment:
                 yield i, el, n
-
-    def union(self, other: "Term") -> "Term":
-        return Term._spliced(self, other.items)
 
     def subtract(self, pairs: Iterable) -> "Term":
         """Remove a (element, count) multiset; raises if not contained."""

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from cwcsim import Term
+from cwcsim.dsl import format_term
 from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
@@ -185,7 +186,26 @@ def instantiate_lhs(rng: random.Random, rule) -> Term:
         else:
             subst[v] = gen_term(rng, depth=1, atom_budget=2)
     state = apply_subst(rule.lhs_open, subst)
-    return state.union(gen_term(rng, depth=1, atom_budget=2))
+    return union(state, gen_term(rng, depth=1, atom_budget=2))
+
+
+def union(a: Term, b: Term) -> Term:
+    """The multiset sum of two terms."""
+    return Term._spliced(a, b.items)
+
+
+def format_rate(spec) -> str:
+    if isinstance(spec, MassAction):
+        return repr(spec.k)
+    return str(spec)
+
+
+def format_rule(rule) -> str:
+    """A rule's text in the model syntax, its sugar expanded."""
+    return (
+        f"rule {rule.id}: {format_term(rule.lhs_open)} -> "
+        f"{format_term(rule.rhs)} @ {format_rate(rule.rate)}"
+    )
 
 
 @pytest.fixture

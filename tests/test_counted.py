@@ -13,7 +13,7 @@ from cwcsim import enumerate_transitions, parse_model, parse_term
 from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import Counted, level_outcomes
 from cwcsim.terms import replace_at
-from tests.conftest import gen_rule, gen_term, instantiate_lhs
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, union
 
 PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
 MACROPHAGE = "(CD31 M | (lyso | lyticEnz) innerM)"
@@ -47,7 +47,7 @@ def random_states(rng, trials: int):
         rules = tuple(gen_rule(rng, f"r{i}") for i in range(3))
         state = gen_term(rng, depth=2, atom_budget=6)
         for rule in rules:
-            state = state.union(instantiate_lhs(rng, rule))
+            state = union(state, instantiate_lhs(rng, rule))
         yield rules, state
 
 

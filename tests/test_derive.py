@@ -18,7 +18,7 @@ from cwcsim.engine import TransitionStore, incremental_retransitions
 from cwcsim.matching import Counted
 from cwcsim.rates import BinOp, CountL, FnRate, MatchCount, Num
 from cwcsim.terms import Atom, replace_at
-from tests.conftest import gen_rule, gen_term, instantiate_lhs
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, union
 
 DATA = Path(__file__).parent / "data"
 PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
@@ -205,7 +205,7 @@ def test_random_rules_derive_roots_equal_to_fresh_ones(rng):
         state = gen_term(rng, depth=2, atom_budget=6)
         for rule in rules:
             for _ in range(2):
-                state = state.union(instantiate_lhs(rng, rule))
+                state = union(state, instantiate_lhs(rng, rule))
         walk(rules, state, 12, trial, seen)
     assert seen.derived > 100 and seen.dropped > 20
 

@@ -12,10 +12,10 @@ from cwcsim import (
     parse_rule,
     parse_term,
 )
-from cwcsim.dsl import format_rule
 from cwcsim.matching import outcome_terms
 from cwcsim.rates import MassAction
 from cwcsim.terms import EMPTY, MAX_DEPTH, Atom, Scope
+from tests.conftest import format_rule
 from tests.test_terms import terms
 
 
@@ -221,6 +221,13 @@ def test_duplicates_and_missing_init():
     assert any(d.code == "missing-init" for d in diags_of("rule r: a => b @ 1\n"))
     assert any("duplicate observable" in d.message for d in diags_of(
         "init a\nrule r: a => b @ 1\nobserve x: a in top\nobserve x: b in top\n"))
+
+
+def test_an_observable_named_time_is_an_error_at_its_name():
+    # a CSV header of time,time could not tell the two columns apart
+    ds = diags_of("init a\nrule r: a => b @ 1\nobserve time: a in top\n")
+    assert [(d.line, d.col) for d in ds] == [(3, 9)]
+    assert "'time'" in ds[0].message
 
 
 @pytest.mark.parametrize("text", ["init (m $X | a)\n", "init a (\n"])

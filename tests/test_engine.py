@@ -22,7 +22,7 @@ from cwcsim.engine import TransitionStore, derive_seed, incremental_retransition
 from cwcsim.terms import (
     MAX_DEPTH, Atom, Compartment, Observable, Scope, Term, count_atom, replace_at, shared,
 )
-from tests.conftest import ATOM_NAMES, gen_rule, gen_term, instantiate_lhs
+from tests.conftest import ATOM_NAMES, gen_rule, gen_term, instantiate_lhs, union
 
 
 def model_of(text: str) -> Model:
@@ -398,9 +398,7 @@ def test_incremental_update_splits_congruent_copies():
 def test_incremental_matches_full_on_random_walks(rng):
     for trial in range(12):
         rules = tuple(gen_rule(rng, f"r{i}") for i in range(3))
-        init = gen_term(rng, depth=2, atom_budget=6).union(
-            instantiate_lhs(rng, rules[0])
-        )
+        init = union(gen_term(rng, depth=2, atom_budget=6), instantiate_lhs(rng, rules[0]))
         m = Model(init, rules)
         cfg = SimConfig(
             max_events=40,
@@ -550,7 +548,8 @@ def test_the_sample_memo_stays_within_its_budget_on_a_diverging_run(monkeypatch)
 
     def checked(s, observables, element_rows):
         row = sampled(s, observables, element_rows)
-        assert element_rows.weight <= element_rows.budget == engine.MEMO_BUDGET
+        weight = element_rows.young_weight + element_rows.old_weight
+        assert weight <= element_rows.budget == engine.MEMO_BUDGET
         if element_rows.old:
             memos.add(id(element_rows))
         return row

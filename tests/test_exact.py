@@ -359,7 +359,9 @@ def test_a_carried_compartment_counts_like_the_oracle():
     # of the atom-free cells (m | (n | *)) and count 6 in place of 3
     m = model_of(CARRIED_PAIR)
     rule, = m.rules
-    assert [slot.content.slots[0].carry is not None for slot in rule.lhs.slots] == [True, True]
+    k = rule.rhs.items[0][0]  # (k | (n ~y | $Y) (n ~v | $V)), then the residue
+    sources = [slot.content.slots[0].source for slot in rule.lhs.slots]
+    assert sorted(el._key for el, _ in k.content.items) == sorted(s._key for s in sources)
     want = oracle_outcomes(rule, m.init)
     assert [n for _, n in want] == [3]
     assert outcome_terms(rule, m.init) == want

@@ -10,7 +10,7 @@ import pytest
 from cwcsim import oracle_outcomes, parse_rule, parse_term
 from cwcsim.matching import level_matches, outcome_terms
 from cwcsim.pattern import apply_subst
-from cwcsim.terms import EMPTY
+from cwcsim.terms import EMPTY, bag_diff
 from tests.conftest import gen_rule, gen_term, instantiate_lhs, levels, resolve
 
 
@@ -123,6 +123,31 @@ def test_level_matches_are_consistent_with_outcomes():
     rows = outcome_terms(r, state)
     assert {apply_subst(r.rhs, b) for b, _, _ in ms} == {o for o, _ in rows}
     assert sum(c for _, _, c in ms) == sum(n for _, n in rows)
+
+
+def bound_elements(lp, content, bindings) -> int:
+    """How many compartment patterns of lp, at any depth, bindings binds;
+    each must be bound to a compartment object of the content its level
+    matched, with the rest of its wrap bound to its wrap variable."""
+    bound = 0
+    for slot in lp.slots:
+        el = bindings[slot.source]
+        assert any(el is c for c, _ in content.items)
+        assert bindings[slot.wrap_var] == bag_diff(el.wrap, slot.wrap_atoms)
+        bound += 1 + bound_elements(slot.content, el.content, bindings)
+    return bound
+
+
+def test_every_compartment_pattern_binds_the_element_it_took(rng):
+    rules = [parse_rule("(m ~x | (n ~y | a $Y) $X) (m ~u | $U) $R -> $R @ 1")]
+    rules += [gen_rule(rng, f"r{i}") for i in range(150)]
+    bound = 0
+    for rule in rules:
+        state = instantiate_lhs(rng, rule)
+        for _, content in levels(state):
+            for bindings, _, _ in level_matches(rule.lhs, content):
+                bound += bound_elements(rule.lhs, content, bindings)
+    assert bound > 200
 
 
 def test_no_match_cases():

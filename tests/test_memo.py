@@ -19,7 +19,7 @@ from cwcsim.terms import Compartment
 from cwcsim.matching import _rows
 from cwcsim.rates import BinOp, FnRate, MatchCount
 from cwcsim.terms import replace_at
-from tests.conftest import gen_rule, gen_term, instantiate_lhs
+from tests.conftest import gen_rule, gen_term, instantiate_lhs, union
 
 PHO_CELL = "(pore | (PhoR*5 PhoRP*5 | PhoB*10 PhoGenes))"
 MACROPHAGE = "(CD31 M | (lyso | lyticEnz) innerM)"
@@ -64,10 +64,11 @@ def test_memo_weight_stays_within_the_budget_on_a_diverging_run(monkeypatch, cou
 
     def checked(prev, next_state):
         memo = prev.memo
-        assert memo.weight <= memo.budget == engine.MEMO_BUDGET
+        weight = memo.young_weight + memo.old_weight
+        assert weight <= memo.budget == engine.MEMO_BUDGET
         entries = (*memo.young.items(), *memo.old.items())
-        assert memo.weight == sum(memo._weight(k, v) for k, v in entries)
-        seen.append(memo.weight)
+        assert weight == sum(memo._weight(k, v) for k, v in entries)
+        seen.append(weight)
         return rebuild(prev, next_state)
 
     monkeypatch.setattr(engine, "incremental_retransitions", checked)
@@ -141,7 +142,7 @@ def test_memoised_slot_rows_equal_a_fresh_recompute(rng):
         width = sum(len(rule.lhs.slots) for rule in rules)
         # warm the memo on other contents, listing a chain of stores
         warm = [instantiate_lhs(rng, rule) for rule in rules for _ in range(2)]
-        state = instantiate_lhs(rng, rules[trial % 3]).union(gen_term(rng, depth=2, atom_budget=4))
+        state = union(instantiate_lhs(rng, rules[trial % 3]), gen_term(rng, depth=2, atom_budget=4))
         store = TransitionStore(warm[0], rules)
         for content in warm[1:] + [state]:
             list(store)
@@ -185,7 +186,7 @@ def test_rules_without_a_slot_keep_no_rows(monkeypatch):
     monkeypatch.setattr(engine, "incremental_retransitions", kept)
     traj = run(Model(mf.init, mf.rules), SimConfig(max_events=300, seed=3))
     assert traj.events == 300 and memos[-1] is memos[0]
-    assert memos[0].weight > 0 and index_entries(memos[0]) == []
+    assert memos[0].young_weight + memos[0].old_weight > 0 and index_entries(memos[0]) == []
 
 
 def test_a_store_chain_shares_one_memo_and_width():

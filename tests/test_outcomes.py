@@ -27,7 +27,7 @@ from cwcsim.matching import Outcome, level_matches, level_outcomes, outcome_term
 from cwcsim.pattern import OpenCompartment, OpenTerm, Variable, apply_subst, validate_rule
 from cwcsim.rates import BinOp, CountL, CountR, FnRate, MassAction, MatchCount, Num, rate_of
 from cwcsim.terms import Atom, Compartment, replace_at
-from tests.conftest import canonical, gen_rule, gen_term, instantiate_lhs, levels
+from tests.conftest import canonical, gen_rule, gen_term, instantiate_lhs, levels, union
 
 A, B = Atom("a"), Atom("b")
 LAWS = (
@@ -87,9 +87,7 @@ def test_store_equals_eager_on_random_states(rng):
     compared = 0
     for trial in range(60):
         rules = [gen_rule(rng, f"r{i}") for i in range(3)]
-        state = gen_term(rng, depth=2, atom_budget=6).union(
-            instantiate_lhs(rng, rules[trial % 3])
-        )
+        state = union(gen_term(rng, depth=2, atom_budget=6), instantiate_lhs(rng, rules[trial % 3]))
         for law in LAWS:
             ruled = with_law(rules, law)
             want = eager(state, ruled)
@@ -299,7 +297,7 @@ def test_spliced_outcomes_equal_merged_and_sorted_ones(rng):
     spliced = fallback = 0
     for rule, text in cases:
         if text is None:
-            state = gen_term(rng, depth=2, atom_budget=6).union(instantiate_lhs(rng, rule))
+            state = union(gen_term(rng, depth=2, atom_budget=6), instantiate_lhs(rng, rule))
         else:
             state = parse_term(text)
         for _, content in levels(state):
@@ -378,16 +376,16 @@ def element_ids(t: Term, acc: set) -> set:
 
 
 def carried_kept(o: OpenTerm, subst: dict, got: Term, objects: set) -> tuple:
-    """(carried, matched): the compartments of o that carry a pattern,
-    each checked to be in got as an object of the matched state, and how
-    many of them are the very element their pattern took."""
+    """(carried, matched): the compartments of o equal to a pattern that
+    subst binds, each checked to be in got as an object of the matched
+    state, and how many of them are the very element their pattern took."""
     mine = {el: el for el, _ in got.items}
     carried = matched = 0
     for el, _ in o.items:
         if type(el) is not OpenCompartment:
             continue
-        if el.carried is not None:
-            bound = subst[el.carried]
+        bound = subst.get(el)
+        if bound is not None:
             found = mine[bound]
             # a level that splices keeps its own object for an equal element
             assert id(found) in objects
@@ -411,7 +409,7 @@ def test_carried_compartments_are_the_matched_elements(rng):
     outcomes = carried = matched = 0
     for rule, text in cases:
         if text is None:
-            state = gen_term(rng, depth=2, atom_budget=6).union(instantiate_lhs(rng, rule))
+            state = union(gen_term(rng, depth=2, atom_budget=6), instantiate_lhs(rng, rule))
         else:
             state = parse_term(text)
         objects = element_ids(state, set())

@@ -46,6 +46,15 @@ def test_valid_membrane_rule():
     assert slot.content.residue.name == "X"
 
 
+def test_a_rule_keeps_its_right_hand_side_as_given():
+    # a compartment equal to a left-hand-side pattern, at the top and nested
+    cell = OpenCompartment([A("m")], [x], OpenTerm([A("a"), X]))
+    rhs = OpenTerm([cell, OpenCompartment([A("k")], [], OpenTerm([cell])), Y])
+    r = validate_rule(OpenTerm([cell, Y]), rhs)
+    assert r.rhs is rhs
+    assert r.lhs.slots[0].source is cell
+
+
 def test_ground_compartment_on_the_left():
     r = parse_rule("a (b | c) $X -> $X @ 1")
     (comp, n), = r.lhs.grounds

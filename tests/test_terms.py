@@ -30,7 +30,9 @@ from cwcsim.terms import (
     _flatten,
     _spliced,
 )
-from tests.conftest import ATOM_NAMES, canonical, gen_term, levels, occurrences, resolve
+from tests.conftest import (
+    ATOM_NAMES, canonical, gen_term, levels, occurrences, resolve, union,
+)
 
 atoms = st.sampled_from("a b c d".split()).map(Atom)
 bags = st.lists(atoms, max_size=3).map(atom_bag)
@@ -262,8 +264,8 @@ def test_multiset_arithmetic():
     comp = Compartment(atom_bag([Atom("m")]), parse_term("c"))
     assert t == Term([(Atom("a"), 2), Atom("b"), (comp, 1)])
     assert t.count_atom_top(Atom("c")) == 0
-    assert t.union(parse_term("a")) == parse_term("a a a b (m | c)")
-    assert t.union(Term([(comp, 2)])) == Term([(Atom("a"), 2), Atom("b"), (comp, 3)])
+    assert union(t, parse_term("a")) == parse_term("a a a b (m | c)")
+    assert union(t, Term([(comp, 2)])) == Term([(Atom("a"), 2), Atom("b"), (comp, 3)])
     assert t.subtract([(Atom("a"), 1), (comp, 1)]) == parse_term("a b")
     with pytest.raises(ValueError):
         t.subtract([(Atom("a"), 3)])
@@ -299,7 +301,7 @@ def _open(t: Term) -> OpenTerm:
 def test_trusted_constructions_equal_validated_ones(t, u, c, wrap, x_val, data):
     taken = [(el, data.draw(st.integers(0, n))) for el, n in t.items]
     _same(t.subtract(taken), Term([(el, n - k) for (el, n), (_, k) in zip(t.items, taken)]))
-    _same(t.union(u), Term(occurrences(t) + occurrences(u)))
+    _same(union(t, u), Term(occurrences(t) + occurrences(u)))
     for path in all_paths(t):
         _same(replace_at(t, path, c), _replace_by_elements(t, path, c))
     X, x = term_var("X"), wrap_var("x")
