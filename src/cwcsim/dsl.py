@@ -185,6 +185,10 @@ class _Parser:
         self.pos = 0
         self.diags = diags
         self.operators = 0  # in the rate expression being parsed
+        # one object per distinct variable and compartment of the rules, so
+        # that a right-hand side holds its left-hand side's objects and
+        # substitution finds their bindings by identity (pattern.apply_subst)
+        self.shared: dict = {}
 
     @property
     def cur(self) -> _Token:
@@ -264,6 +268,7 @@ class _Parser:
             self.note(tok, "variables are not allowed in init")
             return
         v = (wrap_var if tok.kind == "wvar" else term_var)(tok.text)
+        v = self.shared.setdefault(v, v)
         spans.setdefault(v, []).append(tok)
         out.append(v)
 
@@ -285,7 +290,8 @@ class _Parser:
         self.expect("|", "'|' between wrap and content")
         content = self.term(spans, depth)
         self.expect(")", "')'")
-        return OpenCompartment(wrap_atoms, wrap_vars, content)
+        c = OpenCompartment(wrap_atoms, wrap_vars, content)
+        return c if spans is None else self.shared.setdefault(c, c)
 
     # rates --------------------------------------------------------------
 

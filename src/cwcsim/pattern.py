@@ -14,18 +14,19 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import CwcError
 from .terms import (
-    EMPTY, Atom, AtomBag, Compartment, Term, _checked, _merged, _spliced, atom_bag,
+    EMPTY, Atom, AtomBag, Compartment, Keyed, Term, _checked, _merged, _spliced, atom_bag,
 )
 
 TERM = "term"
 WRAP = "wrap"
 
 
-class Variable:
-    """A rule variable; term variables stand for terms, wrap variables for
-    atom multisets.  The two kinds live in disjoint namespaces."""
+class Variable(Keyed):
+    """A rule variable, keyed by its kind and name; term variables stand for
+    terms, wrap variables for atom multisets.  The two kinds live in
+    disjoint namespaces."""
 
-    __slots__ = ("kind", "name", "_key", "_hash")
+    __slots__ = ("kind", "name")
 
     def __init__(self, kind: str, name: str):
         if kind not in (TERM, WRAP):
@@ -34,14 +35,6 @@ class Variable:
         self.name = name
         self._key = (2, kind, name)
         self._hash = hash(self._key)
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Variable and other._key == self._key
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return ("$" if self.kind == TERM else "~") + self.name
@@ -58,17 +51,21 @@ def wrap_var(name: str) -> Variable:
     return Variable(WRAP, name)
 
 
-class OpenCompartment:
-    """A compartment that may carry variables on its wrap and in its content.
+class OpenCompartment(Keyed):
+    """A compartment that may carry variables on its wrap and in its content,
+    keyed by its wrap atoms, wrap variables and content, as a compartment
+    is (Keyed).
 
     Ground compartments inside open terms use this representation too (with
     empty variable parts) so that open-term elements sort uniformly.  A
     left-hand-side compartment pattern is also the key under which a match
     binds the element it took (CompartmentPattern.source), and an equal
-    compartment of the right-hand side looks that element up by equality.
+    compartment of the right-hand side looks that element up by equality;
+    in a parsed rule it is that pattern object, so the lookup hits by
+    identity.
     """
 
-    __slots__ = ("wrap_atoms", "wrap_vars", "content", "_key", "_hash", "is_ground")
+    __slots__ = ("wrap_atoms", "wrap_vars", "content", "is_ground")
 
     def __init__(self, wrap_atoms, wrap_vars, content: "OpenTerm"):
         self.wrap_atoms = atom_bag(wrap_atoms)
@@ -85,27 +82,21 @@ class OpenCompartment:
         self._hash = hash(self._key)
         self.is_ground = not self.wrap_vars and content.is_ground
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is OpenCompartment and other._key == self._key
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"OpenCompartment({self.wrap_atoms!r}, {self.wrap_vars!r}, {self.content!r})"
 
 
-class OpenTerm:
-    """A canonical multiset of atoms, term variables, and open compartments.
+class OpenTerm(Keyed):
+    """A canonical multiset of atoms, term variables, and open compartments,
+    keyed by its (element key, count) pairs, as a term is (Keyed); an open
+    term never equals a term with the same key.
 
     splice is the level's last variable when it occurs once, and None when
     the level has no variable or its last occurs more often; rest is then
     the level's other items (apply_subst).
     """
 
-    __slots__ = ("items", "_key", "_hash", "is_ground", "splice", "rest")
+    __slots__ = ("items", "is_ground", "splice", "rest")
 
     def __init__(self, elements: Iterable = ()):
         what = "open term element expected"
@@ -122,12 +113,6 @@ class OpenTerm:
         once = items and type(items[-1][0]) is Variable and items[-1][1] == 1
         self.splice = items[-1][0] if once else None
         self.rest = items[:-1] if once else None
-
-    def __eq__(self, other):
-        return self is other or (type(other) is OpenTerm and other._key == self._key)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         from .dsl import format_term
@@ -259,10 +244,6 @@ class RuleValidationError(CwcError):
     def __init__(self, issues):
         super().__init__("; ".join(i.message for i in issues))
         self.issues = list(issues)
-
-    @property
-    def codes(self):
-        return [i.code for i in self.issues]
 
 
 @dataclass(frozen=True)

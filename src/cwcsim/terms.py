@@ -3,8 +3,11 @@
 A term is a multiset of simple terms; a simple term is either an atom or a
 compartment ``(wrap | content)`` whose wrap is a multiset of atoms and whose
 content is again a term.  Terms are kept in a canonical counted-sorted form
-(atoms before compartments, atoms by name, compartments by wrap then content)
-so that structural congruence coincides with plain equality.
+(atoms before compartments, atoms by name, compartments by wrap then content),
+and each value, here and in ``pattern``, carries its canonical key.  Keyed,
+the base of every such value, is the one place where structural congruence
+becomes plain equality: two values are equal when they are of one type and
+their keys are equal.
 
 Every multiset here and in ``pattern`` gets that form from one merge,
 ``_spliced``, which inserts and removes (element, count) pairs by bisect
@@ -30,10 +33,28 @@ from .errors import InvalidPathError
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-class Atom:
-    """A named, indivisible element.  Names are case-sensitive identifiers."""
+class Keyed:
+    """A value compared by its canonical key: equal to itself and to a value
+    of its own type with an equal _key, and hashed by _hash, the key's hash
+    cached when the value is built.  The one place where structural
+    congruence becomes equality: atoms, compartments and terms here, and
+    variables, open compartments and open terms in ``pattern``, set their
+    keys and inherit the comparison."""
 
-    __slots__ = ("name", "_key", "_hash")
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and other._key == self._key)
+
+    def __hash__(self):
+        return self._hash
+
+
+class Atom(Keyed):
+    """A named, indivisible element, keyed by its name.  Names are
+    case-sensitive identifiers."""
+
+    __slots__ = ("name",)
     size = 1
     depth = 0
     has_atoms = True
@@ -44,12 +65,6 @@ class Atom:
         self.name = name
         self._key = (0, name)
         self._hash = hash(self._key)
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atom and other.name == self.name)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Atom({self.name!r})"
@@ -141,10 +156,11 @@ def bag_diff(sup: AtomBag, sub: AtomBag) -> AtomBag:
     return _merged(sup, (), sub)
 
 
-class Compartment:
-    """A wrapped compartment: an atom multiset around a content term."""
+class Compartment(Keyed):
+    """A wrapped compartment: an atom multiset around a content term, keyed
+    by the wrap's (name, count) pairs and the content's key."""
 
-    __slots__ = ("wrap", "content", "_key", "_hash", "size", "depth", "has_atoms", "__weakref__")
+    __slots__ = ("wrap", "content", "size", "depth", "has_atoms", "__weakref__")
 
     def __init__(self, wrap, content: "Term"):
         if not isinstance(content, Term):
@@ -168,14 +184,6 @@ class Compartment:
         self.depth = 1 + content.depth
         self.has_atoms = bool(bag) or content.has_atoms
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Compartment and other._key == self._key
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Compartment({self.wrap!r}, {self.content!r})"
 
@@ -183,18 +191,19 @@ class Compartment:
         return Compartment._of, (self.wrap, self.content)
 
 
-class Term:
+class Term(Keyed):
     """A canonical multiset of simple terms.
 
     ``items`` is a tuple of (element, count) pairs sorted by the elements'
-    canonical keys with every count positive, so structurally congruent terms
-    are equal and hash alike.  Term(elements) checks its elements, merges
+    canonical keys with every count positive, and the key is the tuple of
+    their (element key, count) pairs, so structurally congruent terms are
+    equal and hash alike (Keyed).  Term(elements) checks its elements, merges
     them by _spliced and reads its key, size, depth and atom flag in a full
     pass over the merged items; Term._spliced builds every other term, and
     the tests hold it to that pass.
     """
 
-    __slots__ = ("items", "_key", "_hash", "size", "depth", "has_atoms", "__weakref__")
+    __slots__ = ("items", "size", "depth", "has_atoms", "__weakref__")
 
     def __init__(self, elements: Iterable = ()):
         what = "term element must be Atom or Compartment"
@@ -264,13 +273,6 @@ class Term:
         t._hash = hash(t._key)
         t.size, t.depth, t.has_atoms = size, depth, has_atoms
         return t
-
-    # Atoms have size 1 and depth 0; Compartment sets its own.
-    def __eq__(self, other):
-        return self is other or (type(other) is Term and other._key == self._key)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         from .dsl import format_term  # cycle-free at call time

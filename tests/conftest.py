@@ -194,6 +194,11 @@ def union(a: Term, b: Term) -> Term:
     return Term._spliced(a, b.items)
 
 
+def issue_codes(error) -> list:
+    """The codes of a RuleValidationError's issues, in the order reported."""
+    return [i.code for i in error.issues]
+
+
 def format_rate(spec) -> str:
     if isinstance(spec, MassAction):
         return repr(spec.k)

@@ -13,6 +13,7 @@ from cwcsim import (
     parse_term,
 )
 from cwcsim.matching import outcome_terms
+from cwcsim.pattern import OpenCompartment, Variable
 from cwcsim.rates import MassAction
 from cwcsim.terms import EMPTY, MAX_DEPTH, Atom, Scope
 from tests.conftest import format_rule
@@ -357,6 +358,29 @@ def test_bundled_macrophage_model():
     mf = _load_model("macrophage.cwc")
     assert [r.id for r in mf.rules] == ["bind", "release", "engulf", "fuse"]
     assert len(mf.observables) == 4
+
+
+def _variables(o):
+    """Every variable object occurring in an open term, at any depth."""
+    for el, _ in o.items:
+        if type(el) is Variable:
+            yield el
+        elif type(el) is OpenCompartment:
+            yield from (v for v, _ in el.wrap_vars)
+            yield from _variables(el.content)
+
+
+def test_a_parsed_rule_shares_its_variables_and_compartment_patterns():
+    mf = _load_model("macrophage.cwc")
+    bind = mf.rules[0]
+    sources = [slot.source for slot in bind.lhs.slots]
+    (cell, _), _ = bind.rhs.items
+    inner = [el for el, _ in cell.content.items]
+    assert len(inner) == 2 and all(any(el is s for s in sources) for el in inner)
+    for rule in mf.rules:
+        objects = {}
+        for v in [*_variables(rule.lhs_open), *_variables(rule.rhs)]:
+            assert objects.setdefault(v, v) is v, (rule.id, v)
 
 
 def test_bundled_turing_model():

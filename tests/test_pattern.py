@@ -15,7 +15,7 @@ from cwcsim.pattern import (
 )
 from cwcsim.rates import MassAction
 from cwcsim.terms import EMPTY, Atom, atom_bag
-from tests.conftest import vars_of
+from tests.conftest import issue_codes, vars_of
 
 A = Atom
 X, Y, Z = term_var("X"), term_var("Y"), term_var("Z")
@@ -25,7 +25,7 @@ x, y = wrap_var("x"), wrap_var("y")
 def codes_of(lhs, rhs):
     with pytest.raises(RuleValidationError) as exc:
         validate_rule(lhs, rhs)
-    return exc.value.codes
+    return issue_codes(exc.value)
 
 
 def test_valid_flat_rule():
@@ -118,7 +118,7 @@ def test_all_issues_reported_together():
     lhs = OpenTerm([(X, 2)])
     with pytest.raises(RuleValidationError) as exc:
         validate_rule(lhs, OpenTerm([Y]))
-    codes = exc.value.codes
+    codes = issue_codes(exc.value)
     assert "nonlinear-pattern" in codes and "unbound-variable" in codes
     assert "empty-pattern" in codes or "malformed-pattern" in codes
 

@@ -10,6 +10,7 @@ from cwcsim.errors import InvalidPathError
 from cwcsim.pattern import (
     OpenCompartment,
     OpenTerm,
+    Variable,
     apply_subst,
     term_var,
     wrap_var,
@@ -120,6 +121,49 @@ def test_congruence_examples():
     assert parse_term("a (b | c)") != parse_term("a (c | b)")
     assert parse_term("a b") == parse_term("b a")
     assert parse_term("a") != parse_term("a a")
+
+
+def _keyed_values():
+    """For each canonical value class, two separately built values with equal
+    keys and one with a different key."""
+    a, b = Atom("a"), Atom("b")
+    X, x = term_var("X"), wrap_var("x")
+
+    def open_comp(atom):
+        return OpenCompartment([atom], [x], OpenTerm([X]))
+
+    return {
+        Atom: (lambda: Atom("a"), b),
+        Compartment: (lambda: Compartment([a], Term([b])), Compartment([a], Term([a]))),
+        Term: (lambda: Term([a, (b, 2)]), Term([a, b])),
+        Variable: (lambda: term_var("X"), wrap_var("X")),
+        OpenCompartment: (lambda: open_comp(a), open_comp(b)),
+        OpenTerm: (lambda: OpenTerm([a, open_comp(a), X]), OpenTerm([a, open_comp(b), X])),
+    }
+
+
+def test_values_with_equal_keys_are_equal_and_hash_alike():
+    for cls, (build, other) in _keyed_values().items():
+        one, two = build(), build()
+        assert type(one) is cls and one is not two
+        assert one == two and hash(one) == hash(two) and not one != two
+        assert one._key != other._key and one != other, cls
+
+
+def test_a_value_never_equals_one_of_another_type_with_an_equal_key():
+    a = Atom("a")
+    for open_term, term in [(OpenTerm([a]), Term([a])), (OpenTerm(), EMPTY)]:
+        assert open_term._key == term._key
+        assert open_term != term and term != open_term
+        assert len({open_term, term}) == 2
+
+
+def test_every_canonical_value_shares_one_key_equality():
+    classes = list(_keyed_values())
+    for cls in classes:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+    assert len({cls.__eq__ for cls in classes}) == 1
+    assert len({cls.__hash__ for cls in classes}) == 1
 
 
 def test_empty_term_renders_as_star():
